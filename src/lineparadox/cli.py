@@ -5,8 +5,8 @@ line-strip.  Windows are written ``lo..hi`` and are inclusive of both interval
 indices, except that plot-fn draws the pieces for n in [lo, hi).  Outputs go
 to stdout, or atomically (write-temp-then-rename) to --out.  Identical flags
 produce byte-identical output.  Exit status: 0 success (and verification
-passed), 1 verification failed, 2 usage or input error, 3 word budget
-exceeded.
+passed), 1 verification failed, 2 usage or input error, 3 word or grid-line
+budget exceeded.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .freegroup import (
     RankError,
     Word,
     WordSyntaxError,
+    check_rank,
     enumerate_words,
     format_word,
     parse_word,
@@ -32,22 +33,30 @@ from .freegroup import (
 from .labeling import UnsupportedRankError, VertexLabeling, label_from_position
 from .paradox import BudgetExceededError, ParadoxInstance, verification_summary
 from .permutation import CycleError, TreePermutation, parse_cycles
-from .render import cayley_ball_dot, function_graph_svg, line_strip_svg
+from .render import (
+    cayley_ball_dot,
+    function_graph_grid_lines,
+    function_graph_svg,
+    line_strip_svg,
+)
 from .rigid import PiecewiseRigidMap
 
 _WINDOW_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 
+#: Most grid lines a plot-fn figure may draw, one per integer of the window
+#: and of the image span; wider figures exit 3 before any line is built.
+MAX_GRID_LINES = 100_000
+
 
 def _rank(text: str):
-    if text == "omega":
-        return OMEGA
     try:
-        k = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"rank must be an integer >= 2 or 'omega', got {text!r}")
-    if k < 2:
-        raise argparse.ArgumentTypeError(f"rank must be >= 2, got {k}")
-    return k
+        rank = OMEGA if text == "omega" else int(text)
+        check_rank(rank)
+    except ValueError as exc:  # RankError is a ValueError
+        raise argparse.ArgumentTypeError(
+            f"rank must be an integer >= 2 or 'omega', got {text!r}"
+        ) from exc
+    return rank
 
 
 def _window(text: str) -> tuple[int, int]:
@@ -68,8 +77,6 @@ def _add_common(p: argparse.ArgumentParser, window: bool = False) -> None:
     if window:
         p.add_argument("--window", type=_window, required=True, metavar="LO..HI")
     p.add_argument("--out", metavar="PATH", help="write output atomically to PATH instead of stdout")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed reserved for sampled audits (default 0)")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -141,9 +148,20 @@ def _cmd_plot_fn(args) -> int:
     else:
         labeling = VertexLabeling(args.k)
         perm = TreePermutation(parse_word(args.word, args.k), labeling)
+    _check_grid(hi - lo + 1)
     pieces = PiecewiseRigidMap(perm).pieces_in_window(lo, hi)
+    _check_grid(function_graph_grid_lines(pieces, lo, hi))
     _emit(function_graph_svg(pieces, lo, hi), args.out)
     return 0
+
+
+def _check_grid(lines: int) -> None:
+    # The window alone fixes the vertical grid lines, so a window too wide
+    # is refused before any piece is computed; the image span adds the rest.
+    if lines > MAX_GRID_LINES:
+        raise BudgetExceededError(
+            f"the plot needs {lines} grid lines, more than the limit of {MAX_GRID_LINES}"
+        )
 
 
 def _cmd_plot_cayley(args) -> int:

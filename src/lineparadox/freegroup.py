@@ -192,17 +192,22 @@ def classify_word(w: Word, rank) -> WordClass:
     letters = w.letters
     for a in letters:
         _check_letter(a, rank)
+    return WordClass(*_classify_letters(letters, s))
+
+
+def _classify_letters(letters: tuple[int, ...], s: int) -> tuple[int, int]:
+    # Core of classify_word as a plain (pair, side) tuple, equal to the
+    # WordClass, for letters known to be valid, such as a labeling decoder's;
+    # s is the special index.
     if not letters:
-        return WordClass(s, MINUS)
+        return (s, MINUS)
     first = letters[0]
     j = abs(first)
     if j != s:
-        return WordClass(j, PLUS if first > 0 else MINUS)
-    if first < 0:
-        return WordClass(s, MINUS)
-    if all(a == first for a in letters):
-        return WordClass(s, MINUS)
-    return WordClass(s, PLUS)
+        return (j, PLUS if first > 0 else MINUS)
+    if first < 0 or letters.count(first) == len(letters):
+        return (s, MINUS)
+    return (s, PLUS)
 
 
 # ---------------------------------------------------------------------------
@@ -234,23 +239,40 @@ def word_weight(letters: Iterable[int]) -> int:
     return total + n
 
 
-def _lex_words_of_length(k: int, length: int) -> Iterator[tuple[int, ...]]:
-    letters = ordered_letters(k)
-    word: list[int] = []
+def _words_from(k: int, letters: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """``letters`` and every reduced word after it in the rank-k order.
 
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(word) == length:
-            yield tuple(word)
-            return
-        last = word[-1] if word else 0
-        for a in letters:
-            if a == -last:
-                continue
-            word.append(a)
-            yield from rec()
-            word.pop()
-
-    yield from rec()
+    Each word is the (length, lex) successor of the one before, stepped like
+    a mixed-radix odometer whose digits run through the letters in canonical
+    order and skip the inverse of the digit to their left (Knuth, TAOCP 4A,
+    7.2.1.1).  The last digit runs through its 2k - 1 letters between
+    carries, and a carry moves past a digit one time in 2k - 1, so a step
+    changes O(1) digits on average.
+    """
+    order = ordered_letters(k)
+    # follow[prev]: the letters that may follow prev (0: no letter precedes).
+    follow = {prev: [a for a in order if a != -prev] for prev in [0, *order]}
+    word = list(letters)
+    if not word:
+        yield ()
+        word = [1]
+    while True:
+        head = tuple(word[:-1])
+        last = follow[word[-2] if len(word) > 1 else 0]
+        for b in last[last.index(word[-1]):]:
+            yield head + (b,)
+        i = len(word) - 2
+        while i >= 0:
+            allowed = follow[word[i - 1] if i else 0]
+            at = allowed.index(word[i]) + 1
+            if at < len(allowed):
+                b = allowed[at]
+                # The smallest reduced suffix: x1 x1 ..., or X1 X1 ... after X1.
+                word[i:] = [b] + [-1 if b == -1 else 1] * (len(word) - 1 - i)
+                break
+            i -= 1
+        else:
+            word = [1] * (len(word) + 1)
 
 
 def _omega_bucket(weight: int) -> list[tuple[int, ...]]:
@@ -288,10 +310,8 @@ def iter_words(rank) -> Iterator[Word]:
             for letters in _omega_bucket(weight):
                 yield Word._from_reduced(letters)
     else:
-        yield IDENTITY
-        for length in itertools.count(1):
-            for letters in _lex_words_of_length(rank, length):
-                yield Word._from_reduced(letters)
+        for letters in _words_from(rank, ()):
+            yield Word._from_reduced(letters)
 
 
 def enumerate_words(rank, count: int) -> list[Word]:

@@ -10,19 +10,25 @@ then turns positions into labels covering all of the integers.  Both
 directions are computed in closed form: for finite rank by counting shorter
 words and lexicographic offsets in base 2k-1, for rank OMEGA by memoized
 counts of reduced words with a given length and index sum (one weight bucket
-at a time).  Computed pairs are cached per labeling instance; the cache only
-grows and never changes an existing entry.
+at a time).  Pairs computed by random access (``word_of_label``,
+``label_of_word``) are cached per labeling instance; that cache only grows
+and never changes an existing entry.  Window sweeps bypass it: they walk the
+window's labels with :func:`_window_words`, which decodes one word and steps
+a successor through the rest at finite rank, so their memory stays flat in
+the window size.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterator, Mapping
 
 from .freegroup import (
     OMEGA,
     Word,
+    _words_from,
     check_rank,
     invert,
     multiply,
@@ -198,6 +204,50 @@ def _letters_omega(pos: int) -> tuple[int, ...]:
         prev = chosen
         srem -= abs(chosen)
     return tuple(letters)
+
+
+# --- window sweeps: one decode, then successor steps -----------------------
+
+
+def _window_words(rank, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield ``(label, letters)`` once for every label in [lo, hi].
+
+    No memo is read or filled, so a sweep's memory stays flat in the window
+    size.  At finite rank the window's labels fill a run of positions: all of
+    them from 0 while the window holds both n and -n, then one parity out to
+    its far end; a window on one side of 0 is one parity throughout.  The
+    walk decodes the first position and steps the successor through the run,
+    at most two steps per label.  Labels come in position order: 0, 1, -1,
+    ..., m, -m, then outward to the far end.  Rank OMEGA decodes each label
+    on its own, in ascending order.
+    """
+    if lo > hi:
+        return iter(())
+    if rank == OMEGA:
+        return ((n, _letters_omega(position_from_label(n))) for n in range(lo, hi + 1))
+    m = min(-lo, hi)
+    if m >= 0:
+        # Positions 0..2m hold the labels 0, 1, -1, ..., m, -m.
+        core = chain((0,), chain.from_iterable(zip(range(1, m + 1), range(-1, -m - 1, -1))))
+        if hi > m:
+            tail, skip = range(m + 1, hi + 1), 0  # odd positions from 2m + 1
+        else:
+            tail, skip = range(-m - 1, lo - 1, -1), 1  # even positions from 2m + 2
+        first = 0
+    else:
+        core = ()
+        tail, skip = (range(lo, hi + 1) if lo > 0 else range(hi, lo - 1, -1)), 0
+        first = position_from_label(tail[0])
+    words = _words_from(rank, _letters_finite(rank, first))
+    return chain(zip(core, words), zip(tail, islice(words, skip, None, 2)))
+
+
+def _window_letters(rank, lo: int, hi: int) -> list[tuple[int, ...]]:
+    """The letters of the labels lo, lo + 1, ..., hi, in label order."""
+    out: list[tuple[int, ...]] = [()] * max(0, hi - lo + 1)
+    for n, letters in _window_words(rank, lo, hi):
+        out[n - lo] = letters
+    return out
 
 
 class VertexLabeling:

@@ -19,6 +19,7 @@ astronomically large integer labels of heavy words.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable
 
 from .freegroup import (
@@ -27,13 +28,14 @@ from .freegroup import (
     PLUS,
     Word,
     WordClass,
-    _lex_words_of_length,
+    _classify_letters,
+    _words_from,
     check_rank,
     classify_word,
     format_word,
     special_index,
 )
-from .labeling import VertexLabeling, ball_vertex_count
+from .labeling import VertexLabeling, _window_letters, _window_words, ball_vertex_count
 from .permutation import TreePermutation, _tree_fixed_indices
 from .rigid import PiecewiseRigidMap, as_rational, floor_part
 
@@ -51,9 +53,15 @@ def _is_member(letters: tuple[int, ...], j: int, side: int, s: int) -> bool:
     """Class membership by the first-letter rules, evaluated standalone."""
     if j != s:
         return bool(letters) and letters[0] == (j if side == PLUS else -j)
+    # letters.count(s) == len(letters): every letter is x_s.
     if side == PLUS:
-        return bool(letters) and letters[0] == s and any(a != s for a in letters)
-    return not letters or letters[0] == -s or all(a == s for a in letters)
+        return bool(letters) and letters[0] == s and letters.count(s) != len(letters)
+    return not letters or letters[0] == -s or letters.count(s) == len(letters)
+
+
+def _classes(pairs: range) -> list[WordClass]:
+    """The plus and minus class of each pair, in report order."""
+    return [WordClass(j, side) for j in pairs for side in (PLUS, MINUS)]
 
 
 @dataclass
@@ -156,10 +164,7 @@ class ParadoxInstance:
         return range(1, pair_limit + 1)
 
     def class_names(self, pair_limit: int | None = None) -> list[str]:
-        names = []
-        for j in self.pairs(pair_limit):
-            names.append(WordClass(j, PLUS).label(self.rank))
-            names.append(WordClass(j, MINUS).label(self.rank))
+        names = [c.label(self.rank) for c in _classes(self.pairs(pair_limit))]
         if self.rank == OMEGA:
             names.append("overflow")
         return names
@@ -178,69 +183,21 @@ class ParadoxInstance:
         with pair index beyond the limit are tallied as "overflow"; the
         classification itself stays total.
         """
-        s = self.special
-        pairs = self.pairs(pair_limit)
-        counts: dict[str, int] = {name: 0 for name in self.class_names(pair_limit)}
-        violations: list[tuple[int, str]] = []
-        top = pairs[-1]
-        for n in range(lo, hi + 1):
-            word = self.labeling.word_of_label(n)
-            letters = word.letters
-            hits = [
-                WordClass(j, side)
-                for j in pairs
-                for side in (PLUS, MINUS)
-                if _is_member(letters, j, side, s)
-            ]
-            overflow = self.rank == OMEGA and bool(letters) and abs(letters[0]) > top
-            if len(hits) + (1 if overflow else 0) != 1:
-                violations.append((n, f"matched {len(hits) + (1 if overflow else 0)} classes"))
-                continue
-            direct = classify_word(word, self.rank)
-            if overflow:
-                if direct.pair <= top:
-                    violations.append((n, "overflow disagrees with classifier"))
-                    continue
-                counts["overflow"] += 1
-            else:
-                if direct != hits[0]:
-                    violations.append((n, f"predicate {hits[0]} disagrees with classifier {direct}"))
-                    continue
-                counts[direct.label(self.rank)] += 1
-        return PartitionReport((lo, hi), self.rank, counts, violations)
+        return self._sweep(lo, hi, self.pairs(pair_limit), ())[0]
 
     def verify_reassembly(
         self, lo: int, hi: int, pairs: Iterable[int] | None = None
     ) -> ReassemblyReport:
         """For each pair j, each label lies in the plus class or in the rigid
         image of the minus class, never both and never neither."""
-        s = self.special
         pair_list = tuple(pairs) if pairs is not None else tuple(self.pairs())
         for j in pair_list:
             self._check_pair(j)
-        covered = {j: 0 for j in pair_list}
-        violations: list[tuple[int, int, str]] = []
-        for n in range(lo, hi + 1):
-            letters = self.labeling.word_of_label(n).letters
-            for j in pair_list:
-                in_plus = _is_member(letters, j, PLUS, s)
-                # Pull n back through the inverse generator at the word level.
-                if letters and letters[0] == j:
-                    pulled = letters[1:]
-                else:
-                    pulled = (-j,) + letters
-                in_image = _is_member(pulled, j, MINUS, s)
-                if in_plus and in_image:
-                    violations.append((j, n, "double-covered"))
-                elif not in_plus and not in_image:
-                    violations.append((j, n, "uncovered"))
-                else:
-                    covered[j] += 1
-        return ReassemblyReport((lo, hi), self.rank, pair_list, covered, violations)
+        return self._sweep(lo, hi, range(0), pair_list)[1]
 
     def measure_audit(self, lo: int, hi: int, pair_limit: int | None = None) -> MeasureAuditReport:
-        part = self.verify_partition(lo, hi, pair_limit)
-        reas = self.verify_reassembly(lo, hi, self.pairs(pair_limit))
+        pairs = self.pairs(pair_limit)
+        part, reas = self._sweep(lo, hi, pairs, tuple(pairs))
         size = hi - lo + 1 if hi >= lo else 0
         return MeasureAuditReport(
             window=(lo, hi),
@@ -249,6 +206,72 @@ class ParadoxInstance:
             counts=part.counts,
             coverage=reas.covered,
             components_passed=part.passed and reas.passed,
+        )
+
+    def _sweep(
+        self, lo: int, hi: int, classes: range, pulls: tuple[int, ...]
+    ) -> tuple[PartitionReport, ReassemblyReport]:
+        """One pass over the labels of [lo, hi] for both verifiers.
+
+        The partition is checked over the pairs in ``classes`` (not at all
+        when it is empty) and the reassembly over the pairs in ``pulls``.
+        Labels arrive in the walker's order, so violations are sorted by n
+        at the end: the lists read as an ascending sweep would emit them.
+        """
+        s = self.special
+        omega = self.rank == OMEGA
+        checks = _classes(classes)
+        tally = dict.fromkeys(checks, 0)
+        overflows = 0
+        top = classes[-1] if checks else 0
+        part_violations: list[tuple[int, str]] = []
+        covered = {j: 0 for j in pulls}
+        reas_violations: list[tuple[int, int, str]] = []
+        for n, letters in _window_words(self.rank, lo, hi):
+            if checks:
+                hits = [c for c in checks if _is_member(letters, c[0], c[1], s)]
+                overflow = omega and bool(letters) and abs(letters[0]) > top
+                matched = len(hits) + overflow
+                if matched != 1:
+                    part_violations.append((n, f"matched {matched} classes"))
+                else:
+                    # Decoder-made letters are valid, so skip re-validation.
+                    # The plain (pair, side) tuple equals its WordClass.
+                    direct = _classify_letters(letters, s)
+                    if overflow:
+                        if direct[0] <= top:
+                            part_violations.append((n, "overflow disagrees with classifier"))
+                        else:
+                            overflows += 1
+                    elif direct != hits[0]:
+                        part_violations.append(
+                            (n, f"predicate {hits[0]} disagrees with classifier {WordClass(*direct)}")
+                        )
+                    else:
+                        tally[direct] += 1
+            for j in pulls:
+                in_plus = _is_member(letters, j, PLUS, s)
+                # Pull n back through the inverse generator at the word level.
+                if letters and letters[0] == j:
+                    pulled = letters[1:]
+                else:
+                    pulled = (-j,) + letters
+                in_image = _is_member(pulled, j, MINUS, s)
+                if in_plus and in_image:
+                    reas_violations.append((j, n, "double-covered"))
+                elif not in_plus and not in_image:
+                    reas_violations.append((j, n, "uncovered"))
+                else:
+                    covered[j] += 1
+        counts = {c.label(self.rank): tally[c] for c in checks}
+        if omega and checks:
+            counts["overflow"] = overflows
+        # Stable sorts keep each label's reassembly violations in pair order.
+        part_violations.sort(key=lambda v: v[0])
+        reas_violations.sort(key=lambda v: v[1])
+        return (
+            PartitionReport((lo, hi), self.rank, counts, part_violations),
+            ReassemblyReport((lo, hi), self.rank, pulls, covered, reas_violations),
         )
 
     def certify_free_action(
@@ -273,16 +296,16 @@ class ParadoxInstance:
             raise BudgetExceededError(
                 f"{total} words of length <= {max_length} exceed the budget of {word_budget}"
             )
-        window = [self.labeling.word_of_label(n).letters for n in range(lo, hi + 1)]
+        window = _window_letters(self.rank, lo, hi)
         violations: list[tuple[str, int]] = []
         images_of_zero: set[int] = set()
         checked = 0
-        for length in range(1, max_length + 1):
-            for letters in _lex_words_of_length(k, length):
-                checked += 1
-                for idx in _tree_fixed_indices(letters, window):
-                    violations.append((format_word(Word._from_reduced(letters)), lo + idx))
-                images_of_zero.add(self.labeling.label_of_word(Word._from_reduced(letters)))
+        # The nonempty words up to max_length are the first total from x1 on.
+        for letters in islice(_words_from(k, (1,)), total):
+            checked += 1
+            for idx in _tree_fixed_indices(letters, window):
+                violations.append((format_word(Word._from_reduced(letters)), lo + idx))
+            images_of_zero.add(self.labeling.label_of_word(Word._from_reduced(letters)))
         return FreeActionReport(
             window=(lo, hi),
             max_length=max_length,
@@ -301,8 +324,8 @@ def verification_summary(
     word_budget: int = 1_000_000,
 ) -> dict:
     """The combined verification record serialized by the command line."""
-    part = instance.verify_partition(lo, hi, pair_limit)
-    reas = instance.verify_reassembly(lo, hi, instance.pairs(pair_limit))
+    pairs = instance.pairs(pair_limit)
+    part, reas = instance._sweep(lo, hi, pairs, tuple(pairs))
     violations: list[dict] = []
     for n, reason in part.violations:
         violations.append({"kind": "partition", "pair": None, "n": n, "reason": reason})

@@ -14,7 +14,7 @@ import re
 from abc import ABC, abstractmethod
 
 from .freegroup import OMEGA, Word, invert, multiply
-from .labeling import VertexLabeling
+from .labeling import VertexLabeling, _window_letters
 
 
 class CycleError(ValueError):
@@ -170,8 +170,7 @@ def fixed_points_in_window(p: IntegerPermutation, lo: int, hi: int) -> list[int]
     if lo > hi:
         return []
     if isinstance(p, TreePermutation):
-        lab = p.labeling
-        window = [lab.word_of_label(n).letters for n in range(lo, hi + 1)]
+        window = _window_letters(p.labeling.rank, lo, hi)
         return [lo + i for i in _tree_fixed_indices(p.word.letters, window)]
     return [n for n in range(lo, hi + 1) if p.apply(n) == n]
 

@@ -33,13 +33,22 @@ def class_color(cls: WordClass) -> str:
     return PALETTE[(2 * (cls.pair - 1) + (0 if cls.side == PLUS else 1)) % len(PALETTE)]
 
 
+def _image_range(pieces: list[Piece]) -> tuple[int, int]:
+    if not pieces:
+        return 0, 1
+    images = [p.start + p.offset for p in pieces]
+    return min(images), max(images) + 1
+
+
+def function_graph_grid_lines(pieces: list[Piece], lo: int, hi: int) -> int:
+    """How many grid lines :func:`function_graph_svg` draws for these pieces."""
+    ylo, yhi = _image_range(pieces)
+    return (hi - lo + 1) + (yhi - ylo + 1)
+
+
 def function_graph_svg(pieces: list[Piece], lo: int, hi: int) -> str:
     """Plot one segment per piece, open circle at each right endpoint."""
-    if pieces:
-        ylo = min(p.start + p.offset for p in pieces)
-        yhi = max(p.start + p.offset for p in pieces) + 1
-    else:
-        ylo, yhi = 0, 1
+    ylo, yhi = _image_range(pieces)
     width = (hi - lo) * _UNIT + 2 * _MARGIN
     height = (yhi - ylo) * _UNIT + 2 * _MARGIN
 

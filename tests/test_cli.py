@@ -116,6 +116,10 @@ def test_bad_rank_rejected():
     assert run_usage_error("classify", "--k", "x", "--window", "0..1") == 2
 
 
+def test_seed_flag_removed():
+    assert run_usage_error("verify", "--window", "0..1", "--seed", "3") == 2
+
+
 def test_missing_subcommand():
     assert run_usage_error() == 2
 
@@ -215,6 +219,18 @@ def test_plot_fn_word_form(capsys):
     code, out, _ = run(capsys, "plot-fn", "--word", "x1", "--window", "-1..2")
     assert code == 0
     assert out.count("<circle") == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("--k", "2", "--word", "x1^40", "--window", "0..2"),  # ~8.1e18 image-span lines
+    ("--k", "omega", "--word", "x60", "--window", "-5..5"),
+    ("--perm", "(01)", "--window", "-1000000..1000000"),  # the window alone is too wide
+])
+def test_plot_fn_refuses_oversized_grid(capsys, argv):
+    code, out, err = run(capsys, "plot-fn", *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "grid lines" in err
 
 
 def test_plot_fn_deterministic(capsys):

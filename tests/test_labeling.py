@@ -1,9 +1,12 @@
+from itertools import islice
+
 import pytest
 
 from lineparadox.freegroup import (
     IDENTITY,
     OMEGA,
     Word,
+    _words_from,
     enumerate_words,
     multiply,
     parse_word,
@@ -13,6 +16,8 @@ from lineparadox.labeling import (
     CayleyBall,
     UnsupportedRankError,
     VertexLabeling,
+    _letters_finite,
+    _window_words,
     ball_vertex_count,
     label_from_position,
     position_from_label,
@@ -130,6 +135,43 @@ def test_round_trip_words_first():
         encode = VertexLabeling(rank)
         for w in enumerate_words(rank, 2000):
             assert decode.word_of_label(encode.label_of_word(w)) == w
+
+
+# --- window walker -----------------------------------------------------------
+
+
+def _walk(k, pos, count):
+    return list(islice(_words_from(k, _letters_finite(k, pos)), count))
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_successor_walk_matches_decode(k):
+    # From the identity, from offsets inside length blocks, and across every
+    # block boundary up to length 6 (the last word of a length, then the
+    # first of the next).
+    starts = [(0, 3000), (123, 500), (4567, 500), (98765, 500)]
+    for length in range(1, 7):
+        starts.append((ball_vertex_count(k, length) - 3, 6))
+    for pos, count in starts:
+        expected = [_letters_finite(k, p) for p in range(pos, pos + count)]
+        assert _walk(k, pos, count) == expected, (pos, count)
+
+
+def test_successor_walk_matches_oracle_order():
+    words = oracle.all_words(3, 5)
+    assert _walk(3, 0, len(words)) == words
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (-40, 40), (-5, 30), (-30, 5), (10**8, 10**8 + 50), (-60, -20), (7, 7), (0, 0), (5, 3),
+])
+def test_window_walk_visits_each_label_once(table2, lo, hi):
+    lab = VertexLabeling(2)
+    seen = list(_window_words(2, lo, hi))
+    assert sorted(n for n, _ in seen) == list(range(lo, hi + 1))
+    for n, letters in seen:
+        expected = table2.word_of[n] if n in table2.word_of else lab.word_of_label(n).letters
+        assert letters == expected
 
 
 def test_label_of_word_checks_rank():

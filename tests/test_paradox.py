@@ -253,6 +253,85 @@ def test_measure_audit_omega():
     assert all(c == 61 for c in report.coverage.values())
 
 
+# --- one-pass sweep against the oracle ---------------------------------------
+
+
+_SWEEP_WINDOWS = [
+    (-300, 300),  # symmetric
+    (-50, 400),  # asymmetric, longer above 0
+    (-400, 50),  # asymmetric, longer below 0
+    (10**8, 10**8 + 300),  # all positive, far out
+    (-2500, -2000),  # all negative
+    (7, 7),
+    (-3, -3),
+    (0, 0),
+    (5, 3),  # empty
+]
+
+
+def _oracle_sweep(table2, lo, hi):
+    # Words come from the brute-force table where it reaches, else from
+    # random-access decode; classes and pull-backs are the oracle's own.
+    lab = VertexLabeling(2)
+    names = {(1, 1): "A", (1, -1): "B", (2, 1): "C", (2, -1): "D"}
+    counts = dict.fromkeys("ABCD", 0)
+    covered = {1: 0, 2: 0}
+    for n in range(lo, hi + 1):
+        word = table2.word_of[n] if n in table2.word_of else lab.word_of_label(n).letters
+        counts[names[oracle.classify(word, 2)]] += 1
+        for j in (1, 2):
+            in_plus = oracle.classify(word, 2) == (j, 1)
+            in_image = oracle.classify(oracle.oracle_reduce((-j,) + word), 2) == (j, -1)
+            covered[j] += in_plus != in_image
+    return counts, covered
+
+
+@pytest.mark.parametrize("lo, hi", _SWEEP_WINDOWS)
+def test_sweep_matches_oracle(table2, lo, hi):
+    inst = ParadoxInstance(2)
+    counts, covered = _oracle_sweep(table2, lo, hi)
+    size = max(0, hi - lo + 1)
+    part = inst.verify_partition(lo, hi)
+    assert part.passed and part.counts == counts and part.checked == size
+    reas = inst.verify_reassembly(lo, hi)
+    assert reas.passed and reas.covered == covered
+    audit = inst.measure_audit(lo, hi)
+    assert audit.passed and audit.interval_count == size
+    assert audit.counts == counts and audit.coverage == covered == {1: size, 2: size}
+
+
+def test_sweep_leaves_labeling_memo_empty():
+    inst = ParadoxInstance(2)
+    assert inst.verify_partition(-2000, 2000).passed
+    assert inst.labeling._word_by_pos == {}
+    assert inst.labeling._pos_by_letters == {}
+
+
+def test_sweep_violations_in_ascending_order(monkeypatch):
+    # A predicate that admits every word to every plus class breaks both
+    # checks on every label; the walk visits labels out of order, yet the
+    # reports list violations by ascending n, and by pair within one n.
+    from lineparadox import paradox
+
+    real = paradox._is_member
+    monkeypatch.setattr(
+        paradox, "_is_member", lambda letters, j, side, s: side == PLUS or real(letters, j, side, s)
+    )
+    inst = ParadoxInstance(2)
+    part = inst.verify_partition(-6, 9)
+    assert [n for n, _ in part.violations] == list(range(-6, 10))
+    reas = inst.verify_reassembly(-6, 9)
+    keys = [(n, j) for j, n, _ in reas.violations]
+    assert keys and keys == sorted(keys)
+    assert all(reason == "double-covered" for _, _, reason in reas.violations)
+    summary = verification_summary(inst, -6, 9)
+    kinds = [v["kind"] for v in summary["violations"]]
+    assert kinds == ["partition"] * len(part.violations) + ["reassembly"] * len(reas.violations)
+    assert [(v["pair"], v["n"]) for v in summary["violations"][len(part.violations):]] == [
+        (j, n) for j, n, _ in reas.violations
+    ]
+
+
 # --- free action -------------------------------------------------------------
 
 
