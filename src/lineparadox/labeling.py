@@ -213,13 +213,11 @@ def _window_words(rank, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]
     """Yield ``(label, letters)`` once for every label in [lo, hi].
 
     No memo is read or filled, so a sweep's memory stays flat in the window
-    size.  At finite rank the window's labels fill a run of positions: all of
-    them from 0 while the window holds both n and -n, then one parity out to
-    its far end; a window on one side of 0 is one parity throughout.  The
-    walk decodes the first position and steps the successor through the run,
-    at most two steps per label.  Labels come in position order: 0, 1, -1,
-    ..., m, -m, then outward to the far end.  Rank OMEGA decodes each label
-    on its own, in ascending order.
+    size.  At finite rank the labels fill a run of positions: every position
+    while the window holds both n and -n, then one parity.  The walk decodes
+    the first position and steps the successor through the run, at most two
+    steps per label, so labels come in position order.  Rank OMEGA decodes
+    each label on its own, in ascending order.
     """
     if lo > hi:
         return iter(())

@@ -7,7 +7,8 @@ partition reassembles into k full copies (countably many at rank OMEGA).
 The verifiers below check this on finite windows by exhaustive sweep: the
 partition check evaluates every class predicate independently on every
 integer, and the reassembly check decides membership in the translated class
-by pulling each integer back through the inverse generator.
+by pulling each integer back through the inverse generator.  Both run in one
+pass over the window's words, which the labeling walks without caching.
 
 Pulled-back membership is computed on the word itself, classifying
 ``x_j^-1 * w_n`` directly.  That equals classifying the integer image of the
