@@ -245,8 +245,9 @@ class ParadoxInstance:
                         else:
                             overflows += 1
                     elif direct != hits[0]:
+                        direct = WordClass(*direct)
                         part_violations.append(
-                            (n, f"predicate {hits[0]} disagrees with classifier {WordClass(*direct)}")
+                            (n, f"predicate {hits[0]} disagrees with classifier {direct}")
                         )
                     else:
                         tally[direct] += 1
