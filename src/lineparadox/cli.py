@@ -5,8 +5,8 @@ line-strip.  Windows are written ``lo..hi`` and are inclusive of both interval
 indices, except that plot-fn draws the pieces for n in [lo, hi).  Outputs go
 to stdout, or atomically (write-temp-then-rename) to --out.  Identical flags
 produce byte-identical output.  Exit status: 0 success (and verification
-passed), 1 verification failed, 2 usage or input error, 3 word or grid-line
-budget exceeded.
+passed), 1 verification failed, 2 usage or input error, 3 word, grid-line or
+Cayley-ball vertex budget exceeded.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import os
 import re
 import sys
 import tempfile
+from typing import Iterable
 
 from .freegroup import (
     OMEGA,
@@ -30,7 +31,7 @@ from .freegroup import (
     format_word,
     parse_word,
 )
-from .labeling import UnsupportedRankError, VertexLabeling, label_from_position
+from .labeling import UnsupportedRankError, VertexLabeling, ball_vertex_count, label_from_position
 from .paradox import BudgetExceededError, ParadoxInstance, verification_summary
 from .permutation import CycleError, TreePermutation, parse_cycles
 from .render import (
@@ -46,6 +47,10 @@ _WINDOW_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 #: Most grid lines a plot-fn figure may draw, one per integer of the window
 #: and of the image span; wider figures exit 3 before any line is built.
 MAX_GRID_LINES = 100_000
+
+#: Most vertices a plot-cayley ball may hold; larger balls exit 3 before any
+#: vertex is built.
+MAX_BALL_VERTICES = 100_000
 
 
 def _rank(text: str):
@@ -97,7 +102,7 @@ def _emit(text: str, out: str | None) -> None:
         raise
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows: Iterable[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -110,14 +115,12 @@ def _json_text(obj) -> str:
 
 
 def _cmd_classify(args) -> int:
-    inst = ParadoxInstance(args.k)
-    lo, hi = args.window
-    rows = []
-    for n in range(lo, hi + 1):
-        word = inst.labeling.word_of_label(n)
-        rows.append([n, format_word(word), inst.classify_interval(n).label(args.k)])
+    rows = (
+        [n, format_word(Word._from_reduced(letters)), cls.label(args.k)]
+        for n, letters, cls in ParadoxInstance(args.k).classify_window(*args.window)
+    )
     if args.format == "json":
-        text = _json_text([{"n": r[0], "word": r[1], "class": r[2]} for r in rows])
+        text = _json_text([{"n": n, "word": w, "class": c} for n, w, c in rows])
     else:
         text = _csv_text(["n", "word", "class"], rows)
     _emit(text, args.out)
@@ -148,23 +151,26 @@ def _cmd_plot_fn(args) -> int:
     else:
         labeling = VertexLabeling(args.k)
         perm = TreePermutation(parse_word(args.word, args.k), labeling)
-    _check_grid(hi - lo + 1)
+    # The window alone fixes the vertical grid lines, so a window too wide
+    # is refused before any piece is computed; the image span adds the rest.
+    _check_budget("plot", hi - lo + 1, "grid lines", MAX_GRID_LINES)
     pieces = PiecewiseRigidMap(perm).pieces_in_window(lo, hi)
-    _check_grid(function_graph_grid_lines(pieces, lo, hi))
+    _check_budget("plot", function_graph_grid_lines(pieces, lo, hi), "grid lines", MAX_GRID_LINES)
     _emit(function_graph_svg(pieces, lo, hi), args.out)
     return 0
 
 
-def _check_grid(lines: int) -> None:
-    # The window alone fixes the vertical grid lines, so a window too wide
-    # is refused before any piece is computed; the image span adds the rest.
-    if lines > MAX_GRID_LINES:
-        raise BudgetExceededError(
-            f"the plot needs {lines} grid lines, more than the limit of {MAX_GRID_LINES}"
-        )
+def _check_budget(what: str, need: int, unit: str, limit: int) -> None:
+    if need > limit:
+        raise BudgetExceededError(f"the {what} needs {need} {unit}, more than the limit of {limit}")
 
 
 def _cmd_plot_cayley(args) -> int:
+    if args.k != OMEGA and args.radius >= 0:
+        # Counted in closed form, so an oversized ball builds no vertex.
+        _check_budget(
+            "Cayley ball", ball_vertex_count(args.k, args.radius), "vertices", MAX_BALL_VERTICES
+        )
     ball = VertexLabeling(args.k).ball(args.radius)
     _emit(cayley_ball_dot(ball), args.out)
     return 0
@@ -199,16 +205,11 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_line_strip(args) -> int:
-    inst = ParadoxInstance(args.k)
-    lo, hi = args.window
     limit = args.J if args.k == OMEGA else None
-    cells = []
-    for n in range(lo, hi + 1):
-        cls = inst.classify_interval(n)
-        if limit is not None and cls.pair > limit:
-            cells.append((n, None))
-        else:
-            cells.append((n, cls))
+    cells = [
+        (n, None if limit is not None and cls.pair > limit else cls)
+        for n, _, cls in ParadoxInstance(args.k).classify_window(*args.window)
+    ]
     _emit(line_strip_svg(cells, args.k), args.out)
     return 0
 

@@ -50,11 +50,6 @@ def check_rank(rank) -> None:
     raise RankError(f"rank must be an integer >= 2 or OMEGA, got {rank!r}")
 
 
-def is_finite_rank(rank) -> bool:
-    check_rank(rank)
-    return rank != OMEGA
-
-
 def special_index(rank) -> int:
     """The generator index whose minus class absorbs the identity.
 
@@ -222,10 +217,6 @@ def _classify_letters(letters: tuple[int, ...], s: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def letter_sort_key(a: int) -> tuple[int, int]:
-    return (abs(a), 0 if a > 0 else 1)
-
-
 def ordered_letters(k: int) -> list[int]:
     return [s for j in range(1, k + 1) for s in (j, -j)]
 
@@ -370,7 +361,7 @@ def format_word(w: Word) -> str:
         return "e"
     parts = []
     for a, run in itertools.groupby(w.letters):
-        m = sum(1 for _ in run)
+        m = len(list(run))
         tok = f"{'x' if a > 0 else 'X'}{abs(a)}"
         parts.append(tok if m == 1 else f"{tok}^{m}")
     return " ".join(parts)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .freegroup import (
     MINUS,
@@ -36,8 +36,14 @@ from .freegroup import (
     format_word,
     special_index,
 )
-from .labeling import VertexLabeling, _window_letters, _window_words, ball_vertex_count
-from .permutation import TreePermutation, _tree_fixed_indices
+from .labeling import (
+    VertexLabeling,
+    _position_finite,
+    _window_letters,
+    _window_words,
+    ball_vertex_count,
+)
+from .permutation import TreePermutation, _prefix_fixed
 from .rigid import PiecewiseRigidMap, as_rational, floor_part
 
 
@@ -176,6 +182,12 @@ class ParadoxInstance:
     def classify_point(self, x) -> WordClass:
         return self.classify_interval(floor_part(as_rational(x)))
 
+    def classify_window(self, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...], WordClass]]:
+        """``(n, letters, class)`` for n = lo, ..., hi, walked without the memo."""
+        s = self.special
+        for n, letters in enumerate(_window_letters(self.rank, lo, hi), lo):
+            yield n, letters, WordClass(*_classify_letters(letters, s))
+
     def verify_partition(self, lo: int, hi: int, pair_limit: int | None = None) -> PartitionReport:
         """Every label in [lo, hi] must satisfy exactly one class predicate.
 
@@ -287,8 +299,13 @@ class ParadoxInstance:
         """Check that every nonempty word up to the given length acts with no
         fixed point in the window, and that all those actions are distinct.
 
-        Distinctness is witnessed on label 0: the action sends 0 to the label
-        of the word itself, and the labeling is injective.
+        The fixed-point certificate is exhaustive and exact on integers: a
+        word fixes a window word only if it is ``p + inverse(p)`` for a prefix
+        p of it, so each window word yields one candidate per prefix length,
+        which is a violation if it is one of the checked words.  Violations
+        come in enumeration order, then by ascending n.  Distinctness is
+        witnessed on label 0: the action sends 0 to the label of the word
+        itself, and the labeling is injective.
         """
         if max_length < 1:
             raise ValueError(f"max_length must be >= 1, got {max_length}")
@@ -298,22 +315,27 @@ class ParadoxInstance:
             raise BudgetExceededError(
                 f"{total} words of length <= {max_length} exceed the budget of {word_budget}"
             )
-        window = _window_letters(self.rank, lo, hi)
-        violations: list[tuple[str, int]] = []
-        images_of_zero: set[int] = set()
-        checked = 0
         # The nonempty words up to max_length are the first total from x1 on.
-        for letters in islice(_words_from(k, (1,)), total):
-            checked += 1
-            for idx in _tree_fixed_indices(letters, window):
-                violations.append((format_word(Word._from_reduced(letters)), lo + idx))
-            images_of_zero.add(self.labeling.label_of_word(Word._from_reduced(letters)))
+        words = islice(_words_from(k, (1,)), total)
+        images_of_zero = {self.labeling.label_of_word(Word._from_reduced(u)) for u in words}
+
+        def rank_of(u: tuple[int, ...]) -> int | None:
+            # Exactly the checked words: nonempty, reduced, short enough, within k.
+            if 0 < len(u) <= max_length and max(map(abs, u)) <= k:
+                if all(b != -a for a, b in zip(u, u[1:])):
+                    return _position_finite(k, u)
+            return None
+
+        window = _window_letters(self.rank, lo, hi)
         return FreeActionReport(
             window=(lo, hi),
             max_length=max_length,
-            words_checked=checked,
-            fixed_point_violations=violations,
-            distinct_actions=len(images_of_zero) == checked,
+            words_checked=total,
+            fixed_point_violations=[
+                (format_word(Word._from_reduced(u)), lo + i)
+                for u, i in _prefix_fixed(window, max_length // 2, rank_of)
+            ],
+            distinct_actions=len(images_of_zero) == total,
         )
 
 

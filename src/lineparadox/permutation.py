@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from abc import ABC, abstractmethod
+from typing import Callable
 
 from .freegroup import OMEGA, Word, invert, multiply
 from .labeling import VertexLabeling, _window_letters
@@ -171,28 +172,32 @@ def fixed_points_in_window(p: IntegerPermutation, lo: int, hi: int) -> list[int]
         return []
     if isinstance(p, TreePermutation):
         window = _window_letters(p.labeling.rank, lo, hi)
-        return [lo + i for i in _tree_fixed_indices(p.word.letters, window)]
+        u = p.word.letters
+        return [lo + i for _, i in _prefix_fixed(window, len(u) // 2, {u: 0}.get)]
     return [n for n in range(lo, hi + 1) if p.apply(n) == n]
 
 
-def _tree_fixed_indices(u: tuple[int, ...], window: list[tuple[int, ...]]) -> list[int]:
-    # Left multiplication fixes w exactly when u * w re-reduces to w: the
-    # boundary cancellation must swallow the whole second half of u and the
-    # surviving first half must reproduce the prefix it replaced.  This is the
-    # reduced product comparison with the final relabeling skipped, which is
-    # sound because the labeling is a bijection.
-    L = len(u)
-    if L == 0:
-        return list(range(len(window)))
-    out = []
-    for idx, w in enumerate(window):
-        t = 0
-        lim = min(L, len(w))
-        while t < lim and u[L - 1 - t] == -w[t]:
-            t += 1
-        if 2 * t == L and u[:t] == w[:t]:
-            out.append(idx)
-    return out
+def _prefix_fixed(
+    window: list[tuple[int, ...]], half: int, rank_of: Callable[[tuple[int, ...]], int | None]
+) -> list[tuple[tuple[int, ...], int]]:
+    """Every ``(u, i)`` such that u fixes ``window[i]``, ``len(u) <= 2 * half``
+    and ``rank_of(u)`` is not None, sorted by that rank, then by i.
+
+    Left multiplication by u fixes a reduced w exactly when u * w re-reduces
+    to w: the cancellation must swallow the second half of u and the first
+    half must rebuild the prefix it replaced, so u = w[:t] + inverse(w[:t]).
+    Each window word thus has one candidate per prefix length.  No label is
+    computed, which is sound because the labeling is a bijection.
+    """
+    hits = []
+    for i, w in enumerate(window):
+        for t in range(min(len(w), half) + 1):
+            u = w[:t] + tuple(-a for a in reversed(w[:t]))
+            rank = rank_of(u)
+            if rank is not None:
+                hits.append((rank, i, u))
+    hits.sort()
+    return [(u, i) for _, i, u in hits]
 
 
 _CYCLE_GROUP_RE = re.compile(r"\(([^()]*)\)")

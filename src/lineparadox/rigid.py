@@ -157,9 +157,11 @@ class RigidityReport:
 
     window: tuple[int, int]
     samples: int
-    #: (x, eval(x), round-trip or colliding x) triples that broke bijectivity.
+    #: (x, f(x), round trip or colliding x) triples that broke bijectivity,
+    #: and (y, f^-1(y), table value) where the inverse disagrees with a table.
     bijection_failures: list[tuple] = field(default_factory=list)
-    #: (x1, x2, f(x2) - f(x1)) triples with a non-unit within-piece slope.
+    #: (x1, x2, f(x2) - f(x1)) triples with a non-unit within-piece slope,
+    #: and (x, f(x), table value) where the map disagrees with a table.
     slope_failures: list[tuple] = field(default_factory=list)
     #: All discontinuity locations in the window; integers by construction.
     discontinuities: list[int] = field(default_factory=list)
@@ -192,10 +194,22 @@ class RigidityReport:
         }
 
 
-def _sample_point(rng: Random, lo: int, hi: int) -> Fraction:
+_HALF = Fraction(1, 2)
+
+
+def _image_tables(f: PiecewiseRigidMap, lo: int, hi: int) -> tuple[dict[int, int], dict[int, int]]:
+    """``image[n]`` through f for n in [lo - 1, hi], ``preimage[image[n]]``
+    through ``f.inverse()`` for n in [lo, hi).  On [n, n + 1) the map adds
+    image[n] - n; on [m, m + 1) the inverse adds preimage[m] - m."""
+    inv = f.inverse()
+    image = {n: f.image_of_integer(n) for n in range(lo - 1, hi + 1)}
+    return image, {image[n]: inv.image_of_integer(image[n]) for n in range(lo, hi)}
+
+
+def _sample_point(rng: Random, lo: int, hi: int) -> tuple[int, Fraction]:
     n = rng.randrange(lo, hi)
     den = rng.randrange(2, 1000)
-    return n + Fraction(rng.randrange(0, den), den)
+    return n, Fraction(n * den + rng.randrange(0, den), den)
 
 
 def rigidity_audit(
@@ -203,37 +217,56 @@ def rigidity_audit(
 ) -> RigidityReport:
     """Check bijectivity, unit slope, and discreteness of jumps on [lo, hi].
 
-    Bijectivity is probed on ``samples`` random rational points by an exact
-    inverse round-trip plus collision detection of images.  Unit slope is
-    probed on random pairs inside a common unit interval, again exactly.
-    Discontinuities are enumerated definitionally from the one-sided limits
-    at integers rather than estimated numerically.
+    The integer certificate is exhaustive: the image of every n in [lo, hi),
+    tabled through f, must come back to n through ``f.inverse()``, which also
+    makes the images distinct, and at the midpoint of each piece ``f.eval``
+    and ``f.eval_inverse`` must agree with the tables.  The rational part is
+    sampled: ``samples`` exact round trips at random points, with collision
+    detection of images, and ``samples // 2`` pairs in a common unit interval
+    whose images must keep their distance, each evaluation served from the
+    tables as one exact ``Fraction + int`` add.  Discontinuities are read off
+    the image table from the one-sided limits at integers.
     """
     if lo >= hi:
         raise ValueError(f"audit window must satisfy lo < hi, got [{lo}, {hi}]")
     rng = Random(seed)
     report = RigidityReport(window=(lo, hi), samples=samples)
+    bijection, slope = report.bijection_failures, report.slope_failures
+
+    image, preimage = _image_tables(f, lo, hi)
+    for n in range(lo, hi):
+        y, x = image[n], n + _HALF
+        back = preimage[y]
+        if back != n:
+            bijection.append((n, y, back))
+        if f.eval(x) != y + _HALF:
+            slope.append((x, f.eval(x), y + _HALF))
+        if f.eval_inverse(y + _HALF) != back + _HALF:
+            bijection.append((y + _HALF, f.eval_inverse(y + _HALF), back + _HALF))
 
     seen: dict[Fraction, Fraction] = {}
     for _ in range(samples):
-        x = _sample_point(rng, lo, hi)
-        y = f.eval(x)
-        back = f.eval_inverse(y)
+        n, x = _sample_point(rng, lo, hi)
+        m = image[n]
+        y = x + (m - n)
+        back = y + (preimage[m] - m)
         if back != x:
-            report.bijection_failures.append((x, y, back))
+            bijection.append((x, y, back))
         prior = seen.get(y)
         if prior is not None and prior != x:
-            report.bijection_failures.append((x, y, prior))
+            bijection.append((x, y, prior))
         seen[y] = x
 
     for _ in range(samples // 2):
         n = rng.randrange(lo, hi)
         den1 = rng.randrange(2, 1000)
         den2 = rng.randrange(2, 1000)
-        x1 = n + Fraction(rng.randrange(0, den1), den1)
-        x2 = n + Fraction(rng.randrange(0, den2), den2)
-        if f.eval(x2) - f.eval(x1) != x2 - x1:
-            report.slope_failures.append((x1, x2, f.eval(x2) - f.eval(x1)))
+        x1 = Fraction(n * den1 + rng.randrange(0, den1), den1)
+        x2 = Fraction(n * den2 + rng.randrange(0, den2), den2)
+        shift = image[n] - n
+        rise = (x2 + shift) - (x1 + shift)
+        if rise != x2 - x1:
+            slope.append((x1, x2, rise))
 
-    report.discontinuities = f.discontinuities_in_window(lo, hi)
+    report.discontinuities = [n for n in range(lo, hi + 1) if image[n] - image[n - 1] != 1]
     return report

@@ -2,7 +2,12 @@ import json
 
 import pytest
 
-from lineparadox.cli import main
+from lineparadox import cli
+from lineparadox.cli import MAX_BALL_VERTICES, main
+from lineparadox.freegroup import OMEGA, format_word
+from lineparadox.labeling import VertexLabeling, ball_vertex_count
+from lineparadox.paradox import ParadoxInstance
+from lineparadox.render import line_strip_svg
 
 
 def run(capsys, *argv):
@@ -308,3 +313,61 @@ def test_verify_csv_to_file(capsys, tmp_path):
     )
     assert code == 0
     assert target.read_text() == "class,count\nA,4\nB,4\nC,2\nD,7\n"
+
+
+# --- budgets and streamed windows --------------------------------------------
+
+
+@pytest.mark.parametrize("k, radius", [("2", "10"), ("2", "20"), ("3", "7")])
+def test_plot_cayley_refuses_oversized_ball(capsys, monkeypatch, k, radius):
+    def no_ball(self, radius):
+        raise AssertionError("the ball must not be built")
+
+    monkeypatch.setattr(VertexLabeling, "ball", no_ball)
+    code, out, err = run(capsys, "plot-cayley", "--k", k, "--radius", radius)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "vertices" in err
+
+
+def test_plot_cayley_budget_boundary(capsys, monkeypatch):
+    # 9 and 10 are the radii around the default limit at rank 2.
+    assert ball_vertex_count(2, 9) <= MAX_BALL_VERTICES < ball_vertex_count(2, 10)
+    code, out, _ = run(capsys, "plot-cayley", "--k", "2", "--radius", "7")
+    assert code == 0
+    assert sum(1 for l in out.splitlines() if l.endswith('";')) == 4373
+    monkeypatch.setattr(cli, "MAX_BALL_VERTICES", ball_vertex_count(3, 3))
+    assert run(capsys, "plot-cayley", "--k", "3", "--radius", "3")[0] == 0
+    assert run(capsys, "plot-cayley", "--k", "3", "--radius", "4")[0] == 3
+
+
+@pytest.mark.parametrize("k, window", [
+    ("2", (-150, 120)),
+    ("2", (40, 90)),
+    ("2", (-90, -40)),
+    ("3", (-60, 75)),
+    ("omega", (-70, 70)),
+])
+def test_classify_matches_random_access(capsys, k, window):
+    lo, hi = window
+    inst = ParadoxInstance(OMEGA if k == "omega" else int(k))
+    expected = "n,word,class\n" + "".join(
+        f"{n},{format_word(inst.labeling.word_of_label(n))},"
+        f"{inst.classify_interval(n).label(inst.rank)}\n"
+        for n in range(lo, hi + 1)
+    )
+    code, out, _ = run(capsys, "classify", "--k", k, "--window", f"{lo}..{hi}")
+    assert code == 0
+    assert out == expected
+
+
+@pytest.mark.parametrize("k, J", [("2", "10"), ("omega", "2"), ("omega", "3")])
+def test_line_strip_matches_random_access(capsys, k, J):
+    inst = ParadoxInstance(OMEGA if k == "omega" else int(k))
+    cells = []
+    for n in range(-80, 81):
+        cls = inst.classify_interval(n)
+        cells.append((n, None if k == "omega" and cls.pair > int(J) else cls))
+    code, out, _ = run(capsys, "line-strip", "--k", k, "--J", J, "--window", "-80..80")
+    assert code == 0
+    assert out == line_strip_svg(cells, inst.rank)

@@ -5,7 +5,12 @@ import pytest
 
 from lineparadox.freegroup import Word, parse_word
 from lineparadox.labeling import VertexLabeling
-from lineparadox.permutation import IntegerPermutation, TreePermutation, parse_cycles
+from lineparadox.permutation import (
+    CyclePermutation,
+    IntegerPermutation,
+    TreePermutation,
+    parse_cycles,
+)
 from lineparadox.rigid import (
     Piece,
     PiecewiseRigidMap,
@@ -265,3 +270,96 @@ def test_rigidity_audit_detects_failure():
     report = rigidity_audit(broken, 0, 3, samples=800, seed=1)
     assert not report.passed
     assert report.bijection_failures
+
+
+def test_rigidity_audit_not_injective_with_one_sample():
+    report = rigidity_audit(PiecewiseRigidMap(_NotInjective()), 0, 3, samples=1)
+    assert not report.passed
+    assert (1, 0, 0) in report.bijection_failures  # 1 -> 0 -> 0, and 0 already owns 0
+
+
+class _WrongInverse(IntegerPermutation):
+    """Swaps 3 and 4, but claims the identity as its inverse."""
+
+    def apply(self, n):
+        return {3: 4, 4: 3}.get(n, n)
+
+    def inverse(self):
+        return CyclePermutation(())
+
+
+def test_rigidity_audit_catches_wrong_inverse_with_one_sample():
+    f = PiecewiseRigidMap(_WrongInverse())
+    report = rigidity_audit(f, -50, 50, samples=1, seed=0)
+    assert not report.passed
+    assert report.to_dict()["bijective"] is False
+    assert report.bijection_failures == [(3, 4, 4), (4, 3, 3)]
+    # One random sample alone misses the two bad integers.
+    assert _reference_audit(f, -50, 50, samples=1, seed=0)["pass"] is True
+
+
+class _Steep(PiecewiseRigidMap):
+    """Right integer images, but slope 2 inside each piece."""
+
+    def eval(self, x):
+        x = Fraction(x)
+        n = floor_part(x)
+        return self.image_of_integer(n) + 2 * (x - n)
+
+
+def test_rigidity_audit_ties_tables_to_eval(lab2):
+    f = _Steep(TreePermutation(parse_word("x1"), lab2))
+    report = rigidity_audit(f, -5, 5, samples=0)
+    assert report.to_dict()["unit_slope"] is False
+    x = Fraction(-9, 2)
+    assert report.slope_failures[0] == (x, f.eval(x), f.image_of_integer(-5) + Fraction(1, 2))
+
+
+def _reference_audit(f, lo, hi, samples, seed):
+    """The audit by direct evaluation: every sample through f.eval and
+    f.eval_inverse, discontinuities from image_of_integer."""
+    rng = random.Random(seed)
+    bijective = slope = True
+    seen = {}
+    for _ in range(samples):
+        n = rng.randrange(lo, hi)
+        den = rng.randrange(2, 1000)
+        x = n + Fraction(rng.randrange(0, den), den)
+        y = f.eval(x)
+        bijective &= f.eval_inverse(y) == x and seen.get(y, x) == x
+        seen[y] = x
+    for _ in range(samples // 2):
+        n = rng.randrange(lo, hi)
+        den1 = rng.randrange(2, 1000)
+        den2 = rng.randrange(2, 1000)
+        x1 = n + Fraction(rng.randrange(0, den1), den1)
+        x2 = n + Fraction(rng.randrange(0, den2), den2)
+        slope &= f.eval(x2) - f.eval(x1) == x2 - x1
+    jumps = [
+        n for n in range(lo, hi + 1) if f.image_of_integer(n) - f.image_of_integer(n - 1) != 1
+    ]
+    return {
+        "window": [lo, hi],
+        "samples": samples,
+        "bijective": bijective,
+        "unit_slope": slope,
+        "discontinuities": jumps,
+        "pass": bijective and slope,
+    }
+
+
+def test_rigidity_audit_matches_direct_evaluation_on_c8_maps(lab2):
+    # The 24 maps of acceptance criterion C8, built the same way.
+    sigma = PiecewiseRigidMap(TreePermutation(Word((1,)), lab2))
+    tau = PiecewiseRigidMap(TreePermutation(Word((2,)), lab2))
+    maps = [sigma, tau, sigma.inverse(), tau.inverse()]
+    rng = random.Random(808)
+    words = oracle.all_words(2, 5)
+    for _ in range(20):
+        f = PiecewiseRigidMap(TreePermutation(Word(rng.choice(words)), lab2))
+        g = PiecewiseRigidMap(TreePermutation(Word(rng.choice(words)), lab2))
+        maps.append(compose_maps(f, g))
+    assert len(maps) == 24
+    for f in maps:
+        got = rigidity_audit(f, -50, 50, samples=1000, seed=5).to_dict()
+        assert got == _reference_audit(f, -50, 50, samples=1000, seed=5)
