@@ -5,8 +5,8 @@ line-strip.  Windows are written ``lo..hi`` and are inclusive of both interval
 indices, except that plot-fn draws the pieces for n in [lo, hi).  Outputs go
 to stdout, or atomically (write-temp-then-rename) to --out.  Identical flags
 produce byte-identical output.  Exit status: 0 success (and verification
-passed), 1 verification failed, 2 usage or input error, 3 word, grid-line or
-Cayley-ball vertex budget exceeded.
+passed), 1 verification failed, 2 usage or input error, 3 word, grid-line,
+Cayley-ball vertex or rank-omega weight budget exceeded.
 """
 
 from __future__ import annotations

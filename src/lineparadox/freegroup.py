@@ -213,7 +213,8 @@ def _classify_letters(letters: tuple[int, ...], s: int) -> tuple[int, int]:
 # has no first word of length 2, so words are grouped into finite buckets by
 # weight(w) = len(w) + sum of generator indices, buckets in increasing weight,
 # and (length, lexicographic) inside each bucket.  Both schemes are
-# prefix-stable: enumerating more words never reorders earlier ones.
+# prefix-stable: enumerating more words never reorders earlier ones, and both
+# are walked by one odometer step per word (_words_from, _omega_words_from).
 # ---------------------------------------------------------------------------
 
 
@@ -266,43 +267,56 @@ def _words_from(k: int, letters: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             word = [1] * (len(word) + 1)
 
 
-def _omega_bucket(weight: int) -> list[tuple[int, ...]]:
-    """All reduced words of the given weight, in (length, lex) order."""
-    if weight == 0:
-        return [()]
-    out: list[tuple[int, ...]] = []
-    word: list[int] = []
+def _omega_words_from(letters: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """``letters`` and every reduced word after it in the rank-OMEGA order.
 
-    def rec(remaining: int, budget: int) -> None:
-        if remaining == 0:
-            if budget == 0:
-                out.append(tuple(word))
-            return
-        last = word[-1] if word else 0
-        top = budget - (remaining - 1)
-        for i in range(1, top + 1):
-            for a in (i, -i):
-                if a == -last:
-                    continue
-                word.append(a)
-                rec(remaining - 1, budget - i)
-                word.pop()
-
-    for length in range(1, weight // 2 + 1):
-        rec(length, weight - length)
-    return out
+    The same odometer as :func:`_words_from`, with the weight held fixed: a
+    digit may step to its next letter only while the digits after it can
+    still spend the rest of the index sum, one index at least each, and the
+    last digit must spend it exactly, so it only steps from x_j to X_j.
+    """
+    word = list(letters)
+    if not word:
+        yield ()
+        word = [1]
+    while True:
+        yield tuple(word)
+        length = len(word)
+        suffix_sum = 0  # index sum of word[i:]
+        for i in range(length - 1, -1, -1):
+            a = word[i]
+            suffix_sum += abs(a)
+            left = word[i - 1] if i else 0
+            b = -a if a > 0 else 1 - a
+            if b == -left:
+                b = -b if b > 0 else 1 - b
+            tail = length - 1 - i
+            if abs(b) <= suffix_sum - tail:
+                if tail:
+                    # The smallest completion: x1 ... x1 x_j, or X1 ... after X1.
+                    one = -1 if b == -1 else 1
+                    j = suffix_sum - abs(b) - tail + 1
+                    left = one if tail > 1 else b
+                    word[i:] = [b] + [one] * (tail - 1) + [-j if left == -j else j]
+                else:
+                    word[i] = b
+                break
+        else:
+            # Past the bucket's last word of this length: the next length's
+            # first word x1 ... x1 x_j, or x_W, which opens weight W + 1.
+            weight = suffix_sum + length
+            if 2 * (length + 1) <= weight:
+                word = [1] * length + [weight - 2 * length - 1]
+            else:
+                word = [weight]
 
 
 def iter_words(rank) -> Iterator[Word]:
     """Yield every reduced word exactly once, in canonical order."""
     check_rank(rank)
-    if rank == OMEGA:
-        for weight in itertools.count(0):
-            for letters in _omega_bucket(weight):
-                yield Word._from_reduced(letters)
-    else:
-        for letters in _words_from(rank, ()):
-            yield Word._from_reduced(letters)
+    words = _omega_words_from(()) if rank == OMEGA else _words_from(rank, ())
+    for letters in words:
+        yield Word._from_reduced(letters)
 
 
 def enumerate_words(rank, count: int) -> list[Word]:

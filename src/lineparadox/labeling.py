@@ -8,19 +8,19 @@ Vertices are reduced words.  The canonical enumeration from
 
 then turns positions into labels covering all of the integers.  Both
 directions are computed in closed form: for finite rank by counting shorter
-words and lexicographic offsets in base 2k-1, for rank OMEGA by memoized
-counts of reduced words with a given length and index sum (one weight bucket
-at a time).  Pairs computed by random access (``word_of_label``,
-``label_of_word``) are cached per labeling instance; that cache only grows
-and never changes an existing entry.  Window sweeps bypass it: they walk the
-window's labels with :func:`_window_words`, which decodes one word and steps
-a successor through the rest at finite rank, so their memory stays flat in
-the window size.
+words and lexicographic offsets in base 2k-1, for rank OMEGA from tables of
+the number of reduced words of each length and weight, grown one weight at a
+time up to :data:`MAX_OMEGA_WEIGHT`.  Pairs computed by random access
+(``word_of_label``, ``label_of_word``) are cached per labeling instance; that
+cache only grows and never changes an existing entry.  Window sweeps bypass
+it: at every rank they walk the window's labels with :func:`_window_words`,
+which decodes one word and steps a successor through the rest, so their
+memory stays flat in the window size.
 """
 
 from __future__ import annotations
 
-import functools
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterator, Mapping
@@ -28,6 +28,7 @@ from typing import Iterator, Mapping
 from .freegroup import (
     OMEGA,
     Word,
+    _omega_words_from,
     _words_from,
     check_rank,
     invert,
@@ -39,6 +40,10 @@ from .freegroup import (
 
 class UnsupportedRankError(ValueError):
     """Operation requires a finite rank."""
+
+
+class BudgetExceededError(RuntimeError):
+    """A computation would exceed one of its configured size budgets."""
 
 
 def label_from_position(pos: int) -> int:
@@ -107,102 +112,109 @@ def _letters_finite(k: int, pos: int) -> tuple[int, ...]:
     return tuple(letters)
 
 
-# --- rank OMEGA: closed-form counting over weight buckets -------------------
+# --- rank OMEGA: counting over weight buckets -------------------------------
+#
+# A reduced word of r letters and index sum s has weight r + s, so each
+# weight bucket is finite.  N(r, s) counts the reduced words of r letters and
+# index sum s; T(r, s, p) counts the reduced r-letter continuations with
+# index sum s after a letter of index p.  Ruling out the inverse of that
+# letter removes exactly the words that start with it, so
+#     T(r, s, p) = N(r, s) - T(r - 1, s - p, p),
+# and N(r, s) = 2 * sum over i of T(r - 1, s - i, i).
+
+#: Heaviest rank-OMEGA word the count tables are grown for; encoding or
+#: decoding anything heavier raises BudgetExceededError.  The tables cost
+#: about weight**3 steps to fill.
+MAX_OMEGA_WEIGHT = 256
+
+#: _counts[w][r] = N(r, w - r) for r <= w // 2, grown one weight at a time.
+_counts: list[list[int]] = [[1]]
+#: _starts[w]: the position of the first word of weight w.
+_starts: list[int] = [0, 1]
 
 
-@functools.lru_cache(maxsize=None)
-def _tail_count(r: int, s: int, prev: int) -> int:
-    """Reduced continuations of r letters with index sum s after index prev.
-
-    ``prev == 0`` means no preceding letter.  Counts are symmetric in the
-    sign of the preceding letter, so only its index matters.
-    """
-    if r == 0:
-        return 1 if s == 0 else 0
+def _continuations(r: int, s: int, p: int) -> int:
+    """T(r, s, p) for p >= 1, as the alternating sum of table reads."""
     total = 0
-    for i in range(1, s - r + 2):
-        total += (1 if i == prev else 2) * _tail_count(r - 1, s - i, i)
+    sign = 1
+    while s >= r >= 0:  # once s < r every later term is 0 too
+        total += sign * _counts[r + s][r]
+        r, s, sign = r - 1, s - p, -sign
     return total
 
 
-@functools.lru_cache(maxsize=None)
-def _bucket_size(weight: int) -> int:
-    if weight == 0:
-        return 1
-    return sum(_tail_count(length, weight - length, 0) for length in range(1, weight // 2 + 1))
-
-
-@functools.lru_cache(maxsize=None)
-def _bucket_start(weight: int) -> int:
-    if weight == 0:
-        return 0
-    return _bucket_start(weight - 1) + _bucket_size(weight - 1)
-
-
-def _letters_before(a: int) -> Iterator[int]:
-    """Letters strictly smaller than ``a`` in the canonical letter order."""
-    ia = abs(a)
-    for i in range(1, ia):
-        yield i
-        yield -i
-    if a < 0:
-        yield ia
+def _grow_tables(weight: int) -> None:
+    """Fill the count tables through ``weight``; the one place they grow."""
+    if weight > MAX_OMEGA_WEIGHT:
+        raise BudgetExceededError(
+            f"rank omega weight {weight} exceeds the weight limit of {MAX_OMEGA_WEIGHT}"
+        )
+    while len(_counts) <= weight:
+        w = len(_counts)
+        row = [0] + [
+            2 * sum(_continuations(r - 1, w - r - i, i) for i in range(1, w - 2 * r + 2))
+            for r in range(1, w // 2 + 1)
+        ]
+        _counts.append(row)
+        _starts.append(_starts[-1] + sum(row))
 
 
 def _position_omega(letters: tuple[int, ...]) -> int:
     length = len(letters)
     weight = word_weight(letters)
-    pos = _bucket_start(weight)
-    for shorter in range(1, length):
-        pos += _tail_count(shorter, weight - shorter, 0)
+    _grow_tables(weight)
+    pos = _starts[weight] + sum(_counts[weight][1:length])
     srem = weight - length
     prev = 0
     for t, a in enumerate(letters):
         after = length - t - 1
-        for cand in _letters_before(a):
-            if cand == -prev:
-                continue
-            pos += _tail_count(after, srem - abs(cand), abs(cand))
+        # Letters before a: both signs of each smaller index, then x_|a|
+        # before X_|a|; the inverse of prev is never a candidate.
+        for i in range(1, abs(a)):
+            pos += (1 if i == abs(prev) else 2) * _continuations(after, srem - i, i)
+        if a < 0 and prev != a:
+            pos += _continuations(after, srem + a, -a)
         prev = a
         srem -= abs(a)
     return pos
 
 
 def _letters_omega(pos: int) -> tuple[int, ...]:
-    weight = 0
-    while _bucket_start(weight + 1) <= pos:
-        weight += 1
-    r = pos - _bucket_start(weight)
-    if weight == 0:
-        return ()
-    length = 1
-    while True:
-        c = _tail_count(length, weight - length, 0)
-        if r < c:
-            break
-        r -= c
+    while _starts[-1] <= pos:
+        _grow_tables(len(_counts))
+    weight = bisect_right(_starts, pos) - 1
+    r = pos - _starts[weight]
+    row = _counts[weight]
+    length = 0
+    while r >= row[length]:
+        r -= row[length]
         length += 1
     letters: list[int] = []
     srem = weight - length
     prev = 0
     for t in range(length):
         after = length - t - 1
-        chosen = 0
-        for i in range(1, srem - after + 1):
-            for cand in (i, -i):
-                if cand == -prev:
-                    continue
-                c = _tail_count(after, srem - i, i)
+        i = 1
+        while True:
+            c = _continuations(after, srem - i, i)
+            if i == abs(prev):
+                # Only prev itself may follow prev with this index.
                 if r < c:
-                    chosen = cand
+                    a = prev
                     break
                 r -= c
-            if chosen:
+            elif r < c:
+                a = i
                 break
-        assert chosen, "position decoding ran past the bucket"
-        letters.append(chosen)
-        prev = chosen
-        srem -= abs(chosen)
+            elif r < 2 * c:
+                a, r = -i, r - c
+                break
+            else:
+                r -= 2 * c
+            i += 1
+        letters.append(a)
+        prev = a
+        srem -= i
     return tuple(letters)
 
 
@@ -213,16 +225,13 @@ def _window_words(rank, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]
     """Yield ``(label, letters)`` once for every label in [lo, hi].
 
     No memo is read or filled, so a sweep's memory stays flat in the window
-    size.  At finite rank the labels fill a run of positions: every position
-    while the window holds both n and -n, then one parity.  The walk decodes
-    the first position and steps the successor through the run, at most two
-    steps per label, so labels come in position order.  Rank OMEGA decodes
-    each label on its own, in ascending order.
+    size.  The labels fill a run of positions: every position while the
+    window holds both n and -n, then one parity.  The walk decodes the first
+    position and steps the successor of its rank through the run, at most
+    two steps per label, so labels come in position order.
     """
     if lo > hi:
         return iter(())
-    if rank == OMEGA:
-        return ((n, _letters_omega(position_from_label(n))) for n in range(lo, hi + 1))
     m = min(-lo, hi)
     if m >= 0:
         # Positions 0..2m hold the labels 0, 1, -1, ..., m, -m.
@@ -236,7 +245,10 @@ def _window_words(rank, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]
         core = ()
         tail, skip = (range(lo, hi + 1) if lo > 0 else range(hi, lo - 1, -1)), 0
         first = position_from_label(tail[0])
-    words = _words_from(rank, _letters_finite(rank, first))
+    if rank == OMEGA:
+        words = _omega_words_from(_letters_omega(first))
+    else:
+        words = _words_from(rank, _letters_finite(rank, first))
     return chain(zip(core, words), zip(tail, islice(words, skip, None, 2)))
 
 

@@ -37,6 +37,7 @@ from .freegroup import (
     special_index,
 )
 from .labeling import (
+    BudgetExceededError,
     VertexLabeling,
     _position_finite,
     _window_letters,
@@ -45,10 +46,6 @@ from .labeling import (
 )
 from .permutation import TreePermutation, _prefix_fixed
 from .rigid import PiecewiseRigidMap, as_rational, floor_part
-
-
-class BudgetExceededError(RuntimeError):
-    """A combinatorial sweep would exceed its configured word budget."""
 
 
 def rank_token(rank):

@@ -6,6 +6,7 @@ repeatedly deleting one adjacent inverse pair.  Tests pin the package against
 these.
 """
 
+import functools
 import itertools
 
 
@@ -53,12 +54,23 @@ def omega_weight(word):
 def omega_words(max_weight):
     """All reduced words of weight <= max_weight, canonical bucket order."""
     found = [()]
-    letters = [s for j in range(1, max_weight + 1) for s in (j, -j)]
     for length in range(1, max_weight // 2 + 1):
+        # The other length - 1 letters have index >= 1 each, which caps this one.
+        top = max_weight - 2 * length + 1
+        letters = [s for j in range(1, top + 1) for s in (j, -j)]
         for tup in itertools.product(letters, repeat=length):
             if is_reduced(tup) and omega_weight(tup) <= max_weight:
                 found.append(tup)
     return sorted(found, key=lambda w: (omega_weight(w), len(w), tuple(letter_key(a) for a in w)))
+
+
+@functools.lru_cache(maxsize=None)
+def tail_count(r, s, prev):
+    """Reduced continuations of r letters with index sum s after a letter of
+    index prev (0: no letter), counted by recursion on the next letter."""
+    if r == 0:
+        return 1 if s == 0 else 0
+    return sum((1 if i == prev else 2) * tail_count(r - 1, s - i, i) for i in range(1, s - r + 2))
 
 
 def zigzag_label(pos):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lineparadox import cli
+from lineparadox import cli, labeling
 from lineparadox.cli import MAX_BALL_VERTICES, main
 from lineparadox.freegroup import OMEGA, format_word
 from lineparadox.labeling import VertexLabeling, ball_vertex_count
@@ -316,6 +316,21 @@ def test_verify_csv_to_file(capsys, tmp_path):
 
 
 # --- budgets and streamed windows --------------------------------------------
+
+
+def test_omega_weight_budget(capsys, monkeypatch):
+    code, out, err = run(capsys, "plot-fn", "--k", "omega", "--word", "x1500", "--window", "0..1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "weight 1501" in err
+    monkeypatch.setattr(labeling, "_counts", [[1]])
+    monkeypatch.setattr(labeling, "_starts", [0, 1])
+    monkeypatch.setattr(labeling, "MAX_OMEGA_WEIGHT", 30)
+    code, out, err = run(capsys, "connect", "--k", "omega", str(2**300), "5")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "weight 31" in err
+    assert run(capsys, "plot-fn", "--k", "omega", "--word", "x28", "--window", "0..1")[0] == 0
 
 
 @pytest.mark.parametrize("k, radius", [("2", "10"), ("2", "20"), ("3", "7")])

@@ -2,10 +2,12 @@ from itertools import islice
 
 import pytest
 
+from lineparadox import labeling
 from lineparadox.freegroup import (
     IDENTITY,
     OMEGA,
     Word,
+    _omega_words_from,
     _words_from,
     enumerate_words,
     multiply,
@@ -13,10 +15,14 @@ from lineparadox.freegroup import (
 )
 from lineparadox.labeling import (
     BallEntry,
+    BudgetExceededError,
     CayleyBall,
     UnsupportedRankError,
     VertexLabeling,
+    _continuations,
     _letters_finite,
+    _letters_omega,
+    _position_omega,
     _window_words,
     ball_vertex_count,
     label_from_position,
@@ -172,6 +178,66 @@ def test_window_walk_visits_each_label_once(table2, lo, hi):
     for n, letters in seen:
         expected = table2.word_of[n] if n in table2.word_of else lab.word_of_label(n).letters
         assert letters == expected
+
+
+# --- rank omega counting and walking -----------------------------------------
+
+
+def test_count_tables_match_recursive_count():
+    labeling._grow_tables(40)
+    for r in range(41):
+        for s in range(41 - r):
+            count = labeling._counts[r + s][r] if s >= r else 0
+            assert count == oracle.tail_count(r, s, 0), (r, s)
+            for prev in range(1, s + 2):
+                assert _continuations(r, s, prev) == oracle.tail_count(r, s, prev), (r, s, prev)
+
+
+def test_omega_successor_matches_oracle_order():
+    words = oracle.omega_words(12)
+    assert list(islice(_omega_words_from(()), len(words))) == words
+
+
+def test_omega_successor_crosses_length_and_bucket_boundaries():
+    # The last word of every length in every bucket up to weight 14, and the
+    # words around it; the last word of a bucket steps to the next bucket.
+    labeling._grow_tables(14)
+    ends = []
+    for weight in range(15):
+        pos = labeling._starts[weight]
+        for count in labeling._counts[weight]:
+            pos += count
+            ends.append(pos - 1)
+    for end in ends:
+        for pos in range(max(0, end - 2), end + 2):
+            step = next(islice(_omega_words_from(_letters_omega(pos)), 1, None))
+            assert step == _letters_omega(pos + 1), pos
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (-300, 300), (-40, 250), (-250, 40), (-3000, -2800), (5000, 5100), (7, 7), (-4, -4), (0, 0),
+    (5, 3),
+])
+def test_omega_window_walk_matches_decode(lo, hi):
+    seen = sorted(_window_words(OMEGA, lo, hi))
+    assert seen == [(n, _letters_omega(position_from_label(n))) for n in range(lo, hi + 1)]
+
+
+def test_omega_weight_budget(monkeypatch):
+    # Fresh tables, so the lowered limit is met while they grow.
+    monkeypatch.setattr(labeling, "_counts", [[1]])
+    monkeypatch.setattr(labeling, "_starts", [0, 1])
+    monkeypatch.setattr(labeling, "MAX_OMEGA_WEIGHT", 20)
+    assert _position_omega((19,)) == labeling._starts[20]
+    last = labeling._starts[21] - 1
+    assert _letters_omega(last) == (-1,) * 10
+    with pytest.raises(BudgetExceededError):
+        _position_omega((20,))
+    with pytest.raises(BudgetExceededError):
+        _letters_omega(last + 1)
+    with pytest.raises(BudgetExceededError):
+        VertexLabeling(OMEGA).word_of_label(2**300)
+    assert len(labeling._counts) == 21
 
 
 def test_label_of_word_checks_rank():

@@ -1,18 +1,27 @@
-"""Property tests of the integer-level certificates against brute force.
+"""Property tests of the integer-level certificates and of rank-omega labels.
 
 The free-action certificate rests on a prefix criterion (u fixes w exactly
 when u = p + inverse(p) for a prefix p of w); the rigidity audit serves its
-evaluations from integer image tables.  Both are checked here on random
-inputs against ``tests/oracle.py``: cancellation by deleting inverse pairs,
-and the action of words on labels through a brute-force label table.
+evaluations from integer image tables; rank-omega labels are counted from
+tables of reduced-word counts and walked by a weight-bucket successor.  All
+are checked here on random inputs against ``tests/oracle.py``: cancellation
+by deleting inverse pairs, the action of words on labels through a
+brute-force label table, and reduced words counted by recursion.
 """
 
 import functools
+from itertools import islice
 
 from hypothesis import given, settings, strategies as st
 
-from lineparadox.freegroup import Word
-from lineparadox.labeling import VertexLabeling
+from lineparadox.freegroup import Word, _omega_words_from
+from lineparadox.labeling import (
+    VertexLabeling,
+    _continuations,
+    _grow_tables,
+    _letters_omega,
+    _position_omega,
+)
 from lineparadox.permutation import TreePermutation, _prefix_fixed
 from lineparadox.rigid import PiecewiseRigidMap, _image_tables, compose_maps, floor_part
 
@@ -71,3 +80,23 @@ def test_table_served_evaluation_equals_eval(u, v, collapse, x):
     assert y == _table().apply(oracle.oracle_reduce(u + v), n) + (x - n)
     m = floor_part(y)
     assert y + (preimage[m] - m) == f.eval_inverse(y) == x
+
+
+# An example may grow the rank-omega count tables by many weights at once.
+@settings(deadline=None)
+@given(w=reduced_words(30, 8))
+def test_omega_decode_inverts_encode(w):
+    assert _letters_omega(_position_omega(w)) == w
+
+
+@settings(deadline=None)
+@given(pos=st.integers(0, 10**40))
+def test_omega_successor_equals_next_decode(pos):
+    walk = list(islice(_omega_words_from(_letters_omega(pos)), 3))
+    assert walk == [_letters_omega(pos + i) for i in range(3)]
+
+
+@given(r=st.integers(0, 12), s=st.integers(0, 40), p=st.integers(1, 42))
+def test_continuation_count_equals_recursive_count(r, s, p):
+    _grow_tables(r + s)
+    assert _continuations(r, s, p) == oracle.tail_count(r, s, p)
