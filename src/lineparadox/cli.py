@@ -6,13 +6,14 @@ indices, except that plot-fn draws the pieces for n in [lo, hi).  Outputs go
 to stdout, or atomically (write-temp-then-rename) to --out.  Identical flags
 produce byte-identical output.  Exit status: 0 success (and verification
 passed), 1 verification failed, 2 usage or input error, 3 word, grid-line,
-Cayley-ball vertex or rank-omega weight budget exceeded.
+Cayley-ball vertex, line-strip cell or rank-omega weight budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -51,6 +52,10 @@ MAX_GRID_LINES = 100_000
 #: Most vertices a plot-cayley ball may hold; larger balls exit 3 before any
 #: vertex is built.
 MAX_BALL_VERTICES = 100_000
+
+#: Most cells a line-strip may draw, one per label of the window; wider
+#: windows exit 3 before the walk starts.
+MAX_STRIP_CELLS = 100_000
 
 
 def _rank(text: str):
@@ -205,16 +210,24 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_line_strip(args) -> int:
+    lo, hi = args.window
+    _check_budget("line strip", hi - lo + 1, "cells", MAX_STRIP_CELLS)
     limit = args.J if args.k == OMEGA else None
     cells = [
         (n, None if limit is not None and cls.pair > limit else cls)
-        for n, _, cls in ParadoxInstance(args.k).classify_window(*args.window)
+        for n, _, cls in ParadoxInstance(args.k).classify_window(lo, hi)
     ]
     _emit(line_strip_svg(cells, args.k), args.out)
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process.
+
+    Parsing leaves it unchanged, and the handlers read their limits at call
+    time, so every ``main`` call can share it.
+    """
     parser = argparse.ArgumentParser(
         prog="lineparadox",
         description="Partition the line into free-group classes and verify its rigid reassembly.",

@@ -12,10 +12,12 @@ words and lexicographic offsets in base 2k-1, for rank OMEGA from tables of
 the number of reduced words of each length and weight, grown one weight at a
 time up to :data:`MAX_OMEGA_WEIGHT`.  Pairs computed by random access
 (``word_of_label``, ``label_of_word``) are cached per labeling instance; that
-cache only grows and never changes an existing entry.  Window sweeps bypass
-it: at every rank they walk the window's labels with :func:`_window_words`,
-which decodes one word and steps a successor through the rest, so their
-memory stays flat in the window size.
+cache only grows, never changes an existing entry, and is filled by those two
+methods alone.  Window sweeps bypass it: at every rank they walk the window's
+labels with :func:`_window_words`, which decodes one word and steps a
+successor through the rest, so their memory stays flat in the window size.
+Cayley balls walk the enumeration too, from the identity, and find each
+neighbour in a table local to the ball.
 """
 
 from __future__ import annotations
@@ -180,6 +182,11 @@ def _position_omega(letters: tuple[int, ...]) -> int:
 
 
 def _letters_omega(pos: int) -> tuple[int, ...]:
+    if pos >= 2 ** (MAX_OMEGA_WEIGHT + 1):
+        # Weight w holds (2**w + 2 * (-1)**w) / 3 signed letter sequences,
+        # reduced or not, so _starts[w] <= 2**w and pos is heavier than the
+        # limit: _grow_tables refuses it before any table grows.
+        _grow_tables(MAX_OMEGA_WEIGHT + 1)
     while _starts[-1] <= pos:
         _grow_tables(len(_counts))
     weight = bisect_right(_starts, pos) - 1
@@ -321,16 +328,19 @@ class VertexLabeling:
         if radius < 0:
             raise ValueError(f"radius must be nonnegative, got {radius}")
         k = self.rank
-        count = ball_vertex_count(k, radius)
-        entries = []
+        # The ball is the first ball_vertex_count positions, walked once.  The
+        # neighbour a * w cancels w's first letter or prepends a, so its label
+        # is read from the ball's own table (None outside the ball), with no
+        # decode, encode or memo.
+        words = islice(_words_from(k, ()), ball_vertex_count(k, radius))
+        label_of = {w: label_from_position(pos) for pos, w in enumerate(words)}
         signed = ordered_letters(k)
-        for pos in range(count):
-            w = self.word_of_label(label_from_position(pos))
-            neighbors: dict[int, int | None] = {}
-            for a in signed:
-                v = multiply(Word._from_reduced((a,)), w)
-                neighbors[a] = self.label_of_word(v) if len(v) <= radius else None
-            entries.append(BallEntry(label_from_position(pos), w, neighbors))
+        entries = [
+            BallEntry(label, Word._from_reduced(w), {
+                a: label_of.get(w[1:] if w and w[0] == -a else (a,) + w) for a in signed
+            })
+            for w, label in label_of.items()
+        ]
         return CayleyBall(rank=k, radius=radius, entries=tuple(entries))
 
 

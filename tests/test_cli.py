@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lineparadox
 from lineparadox import cli, labeling
 from lineparadox.cli import MAX_BALL_VERTICES, main
 from lineparadox.freegroup import OMEGA, format_word
@@ -356,6 +360,25 @@ def test_plot_cayley_budget_boundary(capsys, monkeypatch):
     assert run(capsys, "plot-cayley", "--k", "3", "--radius", "4")[0] == 3
 
 
+def test_line_strip_refuses_wide_window(capsys, monkeypatch):
+    def no_walk(self, lo, hi):
+        raise AssertionError("the window must not be walked")
+
+    monkeypatch.setattr(ParadoxInstance, "classify_window", no_walk)
+    code, out, err = run(capsys, "line-strip", "--window", "0..100000")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "100001 cells" in err
+
+
+def test_line_strip_budget_boundary(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_STRIP_CELLS", 21)
+    code, out, _ = run(capsys, "line-strip", "--window", "-10..10")
+    assert code == 0 and out.startswith("<svg")
+    assert run(capsys, "line-strip", "--window", "-10..11")[0] == 3
+    assert run(capsys, "line-strip", "--k", "omega", "--window", "-11..10")[0] == 3
+
+
 @pytest.mark.parametrize("k, window", [
     ("2", (-150, 120)),
     ("2", (40, 90)),
@@ -386,3 +409,51 @@ def test_line_strip_matches_random_access(capsys, k, J):
     code, out, _ = run(capsys, "line-strip", "--k", k, "--J", J, "--window", "-80..80")
     assert code == 0
     assert out == line_strip_svg(cells, inst.rank)
+
+
+# --- one parser per process ----------------------------------------------------
+
+
+#: Pairs of calls where a flag or default leaking from the first call into
+#: the second would change the second's output.
+PARSER_SEQUENCE = [
+    ("classify", "--window", "-3..3", "--format", "json"),
+    ("classify", "--window", "-3..3"),
+    ("verify", "--window", "-8..8", "--free-check", "2"),
+    ("verify", "--window", "-8..8"),
+    ("verify", "--k", "omega", "--J", "2", "--window", "-30..30"),
+    ("verify", "--k", "omega", "--window", "-30..30"),
+    ("classify", "--window", "-3..3", "--bogus"),
+    ("classify", "--window", "-3..3"),
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects bad flags this way
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_reused_without_leaks(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    shared = [_outcome(capsys, argv) for argv in PARSER_SEQUENCE]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [_outcome(capsys, argv) for argv in PARSER_SEQUENCE]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 0, 2, 0]
+    for first, second in zip(shared[::2], shared[1::2]):
+        assert first != second
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lineparadox.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lineparadox", "plot-cayley", "--radius", "1"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("digraph cayley_ball {\n")

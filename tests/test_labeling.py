@@ -11,6 +11,7 @@ from lineparadox.freegroup import (
     _words_from,
     enumerate_words,
     multiply,
+    ordered_letters,
     parse_word,
 )
 from lineparadox.labeling import (
@@ -240,6 +241,23 @@ def test_omega_weight_budget(monkeypatch):
     assert len(labeling._counts) == 21
 
 
+def test_starts_bounded_by_powers_of_two():
+    # The bound the early refusal of heavy labels rests on.
+    labeling._grow_tables(60)
+    assert all(labeling._starts[w] <= 2**w for w in range(61))
+
+
+def test_heavy_label_refused_before_tables_grow(monkeypatch):
+    monkeypatch.setattr(labeling, "_counts", [[1]])
+    monkeypatch.setattr(labeling, "_starts", [0, 1])
+    monkeypatch.setattr(labeling, "MAX_OMEGA_WEIGHT", 30)
+    with pytest.raises(BudgetExceededError, match="weight 31"):
+        _letters_omega(2**31)
+    with pytest.raises(BudgetExceededError, match="weight 31"):
+        VertexLabeling(OMEGA).word_of_label(2**300)
+    assert len(labeling._counts) == 1
+
+
 def test_label_of_word_checks_rank():
     lab = VertexLabeling(2)
     with pytest.raises(ValueError):
@@ -331,6 +349,35 @@ def test_ball_radius_two_structure():
                 assert len(stepped) > 2
             else:
                 assert by_label[target].word == stepped
+
+
+def _random_access_ball(k, radius):
+    """The ball built by decoding each position and encoding each neighbour."""
+    lab = VertexLabeling(k)
+    entries = []
+    for pos in range(ball_vertex_count(k, radius)):
+        n = label_from_position(pos)
+        w = lab.word_of_label(n)
+        neighbors = {}
+        for a in ordered_letters(k):
+            v = multiply(Word((a,)), w)
+            neighbors[a] = lab.label_of_word(v) if len(v) <= radius else None
+        entries.append(BallEntry(n, w, neighbors))
+    return CayleyBall(rank=k, radius=radius, entries=tuple(entries))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("radius", range(5))
+def test_ball_matches_random_access(k, radius):
+    lab = VertexLabeling(k)
+    ball = lab.ball(radius)
+    expected = _random_access_ball(k, radius)
+    assert ball.labels() == [label_from_position(p) for p in range(len(ball.entries))]
+    assert ball == expected
+    assert [list(e.neighbors) for e in ball.entries] == [ordered_letters(k)] * len(ball.entries)
+    assert list(ball.edges()) == list(expected.edges())
+    # The ball is built from its own table, not through the label memo.
+    assert lab._word_by_pos == {} and lab._pos_by_letters == {}
 
 
 def test_ball_rejects_omega_and_negative_radius():
