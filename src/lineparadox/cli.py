@@ -12,6 +12,7 @@ Cayley-ball vertex, line-strip cell or rank-omega weight budget exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -20,7 +21,8 @@ import os
 import re
 import sys
 import tempfile
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Iterator, TextIO
 
 from .freegroup import (
     OMEGA,
@@ -28,8 +30,8 @@ from .freegroup import (
     Word,
     WordSyntaxError,
     check_rank,
-    enumerate_words,
     format_word,
+    iter_words,
     parse_word,
 )
 from .labeling import UnsupportedRankError, VertexLabeling, ball_vertex_count, label_from_position
@@ -89,15 +91,17 @@ def _add_common(p: argparse.ArgumentParser, window: bool = False) -> None:
     p.add_argument("--out", metavar="PATH", help="write output atomically to PATH instead of stdout")
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _output(out: str | None) -> Iterator[TextIO]:
+    """Stdout, or a temporary file that replaces ``out`` once all is written."""
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     directory = os.path.dirname(os.path.abspath(out)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lineparadox-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, out)
     except BaseException:
         try:
@@ -105,6 +109,11 @@ def _emit(text: str, out: str | None) -> None:
         except OSError:
             pass
         raise
+
+
+def _emit(text: str, out: str | None) -> None:
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _csv_text(header: list[str], rows: Iterable[list]) -> str:
@@ -200,12 +209,16 @@ def _cmd_connect(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
-    words = enumerate_words(args.k, args.count)
-    rows = [
+    # Rows stream from the enumeration into the writer, so memory stays flat
+    # in --count.
+    rows = (
         [label_from_position(pos), pos, format_word(w), len(w)]
-        for pos, w in enumerate(words)
-    ]
-    _emit(_csv_text(["label", "position", "word", "length"], rows), args.out)
+        for pos, w in enumerate(islice(iter_words(args.k), args.count))
+    )
+    with _output(args.out) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["label", "position", "word", "length"])
+        writer.writerows(rows)
     return 0
 
 
@@ -313,3 +326,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -9,14 +9,15 @@ Vertices are reduced words.  The canonical enumeration from
 then turns positions into labels covering all of the integers.  Both
 directions are computed in closed form: for finite rank by counting shorter
 words and lexicographic offsets in base 2k-1, for rank OMEGA from tables of
-the number of reduced words of each length and weight, grown one weight at a
-time up to :data:`MAX_OMEGA_WEIGHT`.  Pairs computed by random access
-(``word_of_label``, ``label_of_word``) are cached per labeling instance; that
-cache only grows, never changes an existing entry, and is filled by those two
-methods alone.  Window sweeps bypass it: at every rank they walk the window's
-labels with :func:`_window_words`, which decodes one word and steps a
-successor through the rest, so their memory stays flat in the window size.
-Cayley balls walk the enumeration too, from the identity, and find each
+the number of reduced words of each length and weight, grown up to
+:data:`MAX_OMEGA_WEIGHT`; the univariate growth series gives the weight of a
+position before they grow, so heavier positions are refused at once.  Pairs
+computed by random access (``word_of_label``, ``label_of_word``) are cached
+per labeling instance; that cache only grows, never changes an existing
+entry, and is filled by those two methods alone.  Window sweeps bypass it:
+at every rank they walk the window's labels with :func:`_window_words`,
+which decodes one word and steps a successor through the rest, so their
+memory stays flat in the window size.  Cayley balls walk the enumeration too, from the identity, and find each
 neighbour in a table local to the ball.
 """
 
@@ -181,14 +182,41 @@ def _position_omega(letters: tuple[int, ...]) -> int:
     return pos
 
 
+def _series_starts() -> Iterator[int]:
+    """``_starts[0]``, ``_starts[1]``, ... read off the growth series alone.
+
+    With x_i and its inverse weighing i + 1, the free product formula gives
+    the growth series of the reduced words (de la Harpe, *Topics in
+    Geometric Group Theory*, 2000)
+
+        F(z) = 1 / (1 - 2 * sum over i >= 1 of z**(i+1) / (1 + z**(i+1))),
+
+    so the number f[w] of words of weight w is the sum over t of
+    g[t] * f[w - t], where g[t] = 2 * sum over the divisors d >= 2 of t of
+    (-1)**(t/d - 1).  Term w costs O(w) integer steps, where a table row
+    costs about w**3.
+    """
+    f = [1]
+    g = [0]
+    start = 0
+    while True:
+        yield start
+        start += f[-1]
+        w = len(f)
+        g.append(2 * sum((-1) ** (w // d - 1) for d in range(2, w + 1) if w % d == 0))
+        f.append(sum(g[t] * f[w - t] for t in range(2, w + 1)))
+
+
 def _letters_omega(pos: int) -> tuple[int, ...]:
-    if pos >= 2 ** (MAX_OMEGA_WEIGHT + 1):
-        # Weight w holds (2**w + 2 * (-1)**w) / 3 signed letter sequences,
-        # reduced or not, so _starts[w] <= 2**w and pos is heavier than the
-        # limit: _grow_tables refuses it before any table grows.
-        _grow_tables(MAX_OMEGA_WEIGHT + 1)
-    while _starts[-1] <= pos:
-        _grow_tables(len(_counts))
+    if _starts[-1] <= pos:
+        # The tables must grow.  The series finds the weight of pos first,
+        # so a position past the weight limit is refused before any grows.
+        starts = _series_starts()
+        next(starts)
+        weight = 0
+        while weight <= MAX_OMEGA_WEIGHT and next(starts) <= pos:
+            weight += 1
+        _grow_tables(weight)
     weight = bisect_right(_starts, pos) - 1
     r = pos - _starts[weight]
     row = _counts[weight]

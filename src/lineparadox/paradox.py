@@ -5,10 +5,27 @@ Each unit interval [n, n+1) inherits the class of the word labeling n, giving
 rigid image of the minus class tile the line exactly once, so the single
 partition reassembles into k full copies (countably many at rank OMEGA).
 The verifiers below check this on finite windows by exhaustive sweep: the
-partition check evaluates every class predicate independently on every
-integer, and the reassembly check decides membership in the translated class
-by pulling each integer back through the inverse generator.  Both run in one
-pass over the window's words, which the labeling walks without caching.
+partition check asks every class predicate about each label's word and
+cross-checks the one class that admits it against the direct classifier,
+and the reassembly check decides membership in the translated class by
+pulling each word back through the inverse generator.
+
+Every one of those questions reads only the type of the word w,
+
+    tau(w) = (w[0], w[1] or none, all of w is x_s, all of w[1:] is x_s),
+
+the first-letter structure of the classical free-group paradox (Tomkowicz
+and Wagon, *The Banach-Tarski Paradox*, 2nd ed., 2016).  A class predicate,
+the overflow test and the classifier read w[0] and whether w is a power of
+x_s.  The pull-back of w through pair j is w[1:] when w starts with x_j and
+x_j^-1 w otherwise; the minus-class predicate reads its first letter (w[1],
+or x_j^-1) and whether it is a power of x_s, which for w[1:] is the last
+entry of tau(w) and for x_j^-1 w is never so.  The sweep therefore walks the
+window once and tallies its labels by a key that fixes tau, judges one word
+per key and scales that verdict by the key's tally.  Only when some verdict
+finds a violation does it walk the window a second time, to list the failing
+labels.  Both walks decode one word and step a successor through the rest,
+so memory stays flat in the window size.
 
 Pulled-back membership is computed on the word itself, classifying
 ``x_j^-1 * w_n`` directly.  That equals classifying the integer image of the
@@ -19,6 +36,7 @@ astronomically large integer labels of heavy words.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Iterator
@@ -66,6 +84,73 @@ def _is_member(letters: tuple[int, ...], j: int, side: int, s: int) -> bool:
 def _classes(pairs: range) -> list[WordClass]:
     """The plus and minus class of each pair, in report order."""
     return [WordClass(j, side) for j in pairs for side in (PLUS, MINUS)]
+
+
+def _type_key(letters: tuple[int, ...], s: int) -> tuple[tuple[int, ...], int]:
+    """A cheap key that fixes tau(letters): the first two letters and the
+    number of letters other than x_s.  That number is 0 exactly when every
+    letter is x_s, and 1 or 0 (by the first letter) exactly when every letter
+    after the first is."""
+    return letters[:2], len(letters) - letters.count(s)
+
+
+#: The partition tally of words past the pair limit at rank OMEGA.
+OVERFLOW = "overflow"
+
+
+def _verdict(
+    letters: tuple[int, ...],
+    s: int,
+    checks: list[WordClass],
+    top: int | None,
+    pulls: tuple[int, ...],
+) -> tuple[WordClass | str | None, str | None, tuple[str | None, ...]]:
+    """Everything the sweep concludes about one word.
+
+    ``checks`` are the partition classes asked about the word (none: no
+    partition check), ``top`` is the pair limit past which a word counts as
+    overflow (None below rank OMEGA) and ``pulls`` the pairs the reassembly
+    check pulls it back through.  Returns the partition tally the word
+    lands in (a class, OVERFLOW, or None when it is a violation or nothing
+    is checked), the partition violation's reason or None, and for each
+    pull pair in order the reassembly violation's reason or None.
+    """
+    counted = reason = None
+    if checks:
+        hits = [c for c in checks if _is_member(letters, c[0], c[1], s)]
+        overflow = top is not None and bool(letters) and abs(letters[0]) > top
+        matched = len(hits) + overflow
+        if matched != 1:
+            reason = f"matched {matched} classes"
+        else:
+            # Decoder-made letters are valid, so skip re-validation.
+            # The plain (pair, side) tuple equals its WordClass.
+            direct = _classify_letters(letters, s)
+            if overflow:
+                if direct[0] <= top:
+                    reason = "overflow disagrees with classifier"
+                else:
+                    counted = OVERFLOW
+            elif direct != hits[0]:
+                reason = f"predicate {hits[0]} disagrees with classifier {WordClass(*direct)}"
+            else:
+                counted = hits[0]
+    pull_reasons = []
+    for j in pulls:
+        in_plus = _is_member(letters, j, PLUS, s)
+        # Pull the word back through the inverse generator.
+        if letters and letters[0] == j:
+            pulled = letters[1:]
+        else:
+            pulled = (-j,) + letters
+        in_image = _is_member(pulled, j, MINUS, s)
+        if in_plus and in_image:
+            pull_reasons.append("double-covered")
+        elif not in_plus and not in_image:
+            pull_reasons.append("uncovered")
+        else:
+            pull_reasons.append(None)
+    return counted, reason, tuple(pull_reasons)
 
 
 @dataclass
@@ -170,7 +255,7 @@ class ParadoxInstance:
     def class_names(self, pair_limit: int | None = None) -> list[str]:
         names = [c.label(self.rank) for c in _classes(self.pairs(pair_limit))]
         if self.rank == OMEGA:
-            names.append("overflow")
+            names.append(OVERFLOW)
         return names
 
     def classify_interval(self, n: int) -> WordClass:
@@ -188,7 +273,7 @@ class ParadoxInstance:
     def verify_partition(self, lo: int, hi: int, pair_limit: int | None = None) -> PartitionReport:
         """Every label in [lo, hi] must satisfy exactly one class predicate.
 
-        All predicates are evaluated independently per integer, then
+        All predicates are asked about each type of word in the window, then
         cross-checked against the direct classifier.  At rank OMEGA, classes
         with pair index beyond the limit are tallied as "overflow"; the
         classification itself stays total.
@@ -221,62 +306,50 @@ class ParadoxInstance:
     def _sweep(
         self, lo: int, hi: int, classes: range, pulls: tuple[int, ...]
     ) -> tuple[PartitionReport, ReassemblyReport]:
-        """One pass over the labels of [lo, hi] for both verifiers.
+        """Both verifiers over the labels of [lo, hi], judged once per type.
 
         The partition is checked over the pairs in ``classes`` (not at all
         when it is empty) and the reassembly over the pairs in ``pulls``.
-        Labels arrive in the walker's order, so violations are sorted by n
-        at the end: the lists read as an ascending sweep would emit them.
+        The first walk tallies the labels by ``_type_key``, keeping each
+        key's first word, and that word's ``_verdict`` scaled by the tally
+        gives the counts (the module docstring says why one word speaks for
+        its key).  A second walk lists violations only if some verdict has
+        one; labels arrive in the walker's order, so violations are sorted
+        by n at the end and the lists read as an ascending sweep would
+        emit them.
         """
         s = self.special
-        omega = self.rank == OMEGA
         checks = _classes(classes)
+        top = classes[-1] if self.rank == OMEGA and checks else None
+        reps: dict[tuple, tuple[int, ...]] = {}
+        tallies = Counter(
+            reps.setdefault(_type_key(letters, s), letters)
+            for _, letters in _window_words(self.rank, lo, hi)
+        )
+        verdicts = {key: _verdict(rep, s, checks, top, pulls) for key, rep in reps.items()}
         tally = dict.fromkeys(checks, 0)
-        overflows = 0
-        top = classes[-1] if checks else 0
-        part_violations: list[tuple[int, str]] = []
+        tally[OVERFLOW] = 0
         covered = {j: 0 for j in pulls}
+        for key, rep in reps.items():
+            counted, _, pull_reasons = verdicts[key]
+            if counted is not None:
+                tally[counted] += tallies[rep]
+            for j, pull_reason in zip(pulls, pull_reasons):
+                if pull_reason is None:
+                    covered[j] += tallies[rep]
+        part_violations: list[tuple[int, str]] = []
         reas_violations: list[tuple[int, int, str]] = []
-        for n, letters in _window_words(self.rank, lo, hi):
-            if checks:
-                hits = [c for c in checks if _is_member(letters, c[0], c[1], s)]
-                overflow = omega and bool(letters) and abs(letters[0]) > top
-                matched = len(hits) + overflow
-                if matched != 1:
-                    part_violations.append((n, f"matched {matched} classes"))
-                else:
-                    # Decoder-made letters are valid, so skip re-validation.
-                    # The plain (pair, side) tuple equals its WordClass.
-                    direct = _classify_letters(letters, s)
-                    if overflow:
-                        if direct[0] <= top:
-                            part_violations.append((n, "overflow disagrees with classifier"))
-                        else:
-                            overflows += 1
-                    elif direct != hits[0]:
-                        direct = WordClass(*direct)
-                        part_violations.append(
-                            (n, f"predicate {hits[0]} disagrees with classifier {direct}")
-                        )
-                    else:
-                        tally[direct] += 1
-            for j in pulls:
-                in_plus = _is_member(letters, j, PLUS, s)
-                # Pull n back through the inverse generator at the word level.
-                if letters and letters[0] == j:
-                    pulled = letters[1:]
-                else:
-                    pulled = (-j,) + letters
-                in_image = _is_member(pulled, j, MINUS, s)
-                if in_plus and in_image:
-                    reas_violations.append((j, n, "double-covered"))
-                elif not in_plus and not in_image:
-                    reas_violations.append((j, n, "uncovered"))
-                else:
-                    covered[j] += 1
+        if any(v[1] is not None or any(v[2]) for v in verdicts.values()):
+            for n, letters in _window_words(self.rank, lo, hi):
+                _, reason, pull_reasons = verdicts[_type_key(letters, s)]
+                if reason is not None:
+                    part_violations.append((n, reason))
+                for j, pull_reason in zip(pulls, pull_reasons):
+                    if pull_reason is not None:
+                        reas_violations.append((j, n, pull_reason))
         counts = {c.label(self.rank): tally[c] for c in checks}
-        if omega and checks:
-            counts["overflow"] = overflows
+        if top is not None:
+            counts[OVERFLOW] = tally[OVERFLOW]
         # Stable sorts keep each label's reassembly violations in pair order.
         part_violations.sort(key=lambda v: v[0])
         reas_violations.sort(key=lambda v: v[1])

@@ -129,3 +129,52 @@ def classify_omega(word):
     if set(word) == {1}:
         return (1, -1)
     return (1, 1)
+
+
+def member(word, j, side, s):
+    """Membership in class (j, side) by the first-letter rules, written from
+    their definition: the plus class of x_s leaves out the positive powers
+    of x_s, which join the identity in its minus class."""
+    power_of_s = bool(word) and set(word) == {s}
+    if j != s:
+        return bool(word) and word[0] == j * side
+    if side == 1:
+        return bool(word) and word[0] == s and not power_of_s
+    return not word or word[0] == -s or power_of_s
+
+
+def sweep(labeled_words, s, pairs, top=None):
+    """Per-label reference for the partition and reassembly sweep.
+
+    Every class predicate and every pull-back is evaluated on every label's
+    word, in ascending label order.  ``labeled_words`` holds (n, word);
+    ``pairs`` are checked by both verifiers; ``top`` is the pair limit at
+    rank omega, past which a word counts as "overflow" (None at finite
+    rank).  Returns the counts by (pair, side) and "overflow", the coverage
+    by pair, and the partition and reassembly violations.
+    """
+    counts = {(j, side): 0 for j in pairs for side in (1, -1)}
+    overflow = 0
+    covered = dict.fromkeys(pairs, 0)
+    part_violations, reas_violations = [], []
+    for n, word in sorted(labeled_words):
+        hits = [c for c in counts if member(word, c[0], c[1], s)]
+        beyond = top is not None and bool(word) and abs(word[0]) > top
+        if len(hits) + beyond != 1:
+            part_violations.append((n, f"matched {len(hits) + beyond} classes"))
+        elif beyond:
+            overflow += 1
+        elif hits[0] != classify(word, s):
+            part_violations.append((n, "predicate disagrees with classifier"))
+        else:
+            counts[hits[0]] += 1
+        for j in pairs:
+            in_plus = member(word, j, 1, s)
+            in_image = member(oracle_reduce((-j,) + word), j, -1, s)
+            if in_plus == in_image:
+                reas_violations.append((j, n, "double-covered" if in_plus else "uncovered"))
+            else:
+                covered[j] += 1
+    if top is not None:
+        counts["overflow"] = overflow
+    return counts, covered, part_violations, reas_violations

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -448,6 +449,42 @@ def test_parser_reused_without_leaks(capsys, monkeypatch):
         assert first != second
 
 
+def test_enumerate_streams_rows(capsys, tmp_path):
+    # Stdout and --out carry the bytes the row list used to, and the rows
+    # stream into the writer: peak memory stays far below the output size.
+    for k in ("2", "omega"):
+        words = lineparadox.enumerate_words(OMEGA if k == "omega" else 2, 5000)
+        expected = "label,position,word,length\n" + "".join(
+            f"{labeling.label_from_position(pos)},{pos},{format_word(w)},{len(w)}\n"
+            for pos, w in enumerate(words)
+        )
+        code, out, _ = run(capsys, "enumerate", "--k", k, "--count", "5000")
+        assert code == 0 and out == expected
+        target = tmp_path / f"words-{k}.csv"
+        assert run(capsys, "enumerate", "--k", k, "--count", "5000", "--out", str(target))[0] == 0
+        assert target.read_text() == expected
+    peaks = []
+    for count in (1000, 10000):
+        tracemalloc.start()
+        try:
+            assert main(["enumerate", "--count", str(count), "--out", str(target)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # Ten times the rows (300 kB of CSV) may not raise the peak by 50 kB.
+    assert target.stat().st_size > 300_000
+    assert peaks[1] < peaks[0] + 50_000
+
+
+def test_omega_position_past_limit_refused_before_tables_grow(capsys):
+    grown = len(labeling._counts)
+    code, out, err = run(capsys, "connect", "--k", "omega", str(2**255), "5")
+    assert code == 3
+    assert out == ""
+    assert "weight 257" in err
+    assert len(labeling._counts) == grown
+
+
 def test_python_dash_m_runs_the_cli():
     src = os.path.dirname(os.path.dirname(os.path.abspath(lineparadox.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -457,3 +494,17 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("digraph cayley_ball {\n")
+
+
+def test_python_dash_m_cli_module_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lineparadox.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    package, module = (
+        subprocess.run(
+            [sys.executable, "-m", name, "connect", "3", "5"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        for name in ("lineparadox", "lineparadox.cli")
+    )
+    assert module.returncode == package.returncode == 0
+    assert module.stdout == package.stdout == "X1 x2 X1^2\n"

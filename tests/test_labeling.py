@@ -242,9 +242,28 @@ def test_omega_weight_budget(monkeypatch):
 
 
 def test_starts_bounded_by_powers_of_two():
-    # The bound the early refusal of heavy labels rests on.
+    # Weight w holds (2**w + 2 * (-1)**w) / 3 signed letter sequences, reduced
+    # or not, so fewer than 2**w words come before it.
     labeling._grow_tables(60)
     assert all(labeling._starts[w] <= 2**w for w in range(61))
+
+
+def test_series_starts_equal_table_starts():
+    labeling._grow_tables(60)
+    assert list(islice(labeling._series_starts(), 62)) == labeling._starts[:62]
+
+
+def test_position_past_weight_limit_refused_without_tables():
+    # The first position past the weight limit has 237 bits, so 2**255 is
+    # past it too; the series refuses both with no table grown, where a
+    # bound of 2**257 grew the tables through weight 256 first.
+    first = next(islice(labeling._series_starts(), labeling.MAX_OMEGA_WEIGHT + 1, None))
+    assert first.bit_length() == 237
+    grown = len(labeling._counts)
+    for pos in (first, 2**255, 2**300):
+        with pytest.raises(BudgetExceededError, match=f"weight {labeling.MAX_OMEGA_WEIGHT + 1}"):
+            _letters_omega(pos)
+    assert len(labeling._counts) == grown
 
 
 def test_heavy_label_refused_before_tables_grow(monkeypatch):

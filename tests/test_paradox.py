@@ -6,6 +6,7 @@ import pytest
 
 from lineparadox.freegroup import MINUS, OMEGA, PLUS, WordClass
 from lineparadox.labeling import VertexLabeling
+from lineparadox import paradox
 from lineparadox.paradox import (
     BudgetExceededError,
     ParadoxInstance,
@@ -298,6 +299,86 @@ def test_sweep_matches_oracle(table2, lo, hi):
     audit = inst.measure_audit(lo, hi)
     assert audit.passed and audit.interval_count == size
     assert audit.counts == counts and audit.coverage == covered == {1: size, 2: size}
+
+
+_SWEEP_RANKS = [(2, None), (3, None), (OMEGA, 3), (OMEGA, 10)]
+
+
+@pytest.mark.parametrize("rank, limit", _SWEEP_RANKS)
+@pytest.mark.parametrize("lo, hi", _SWEEP_WINDOWS)
+def test_sweep_equals_per_label_reference(rank, limit, lo, hi):
+    # The reference asks every predicate about every label's word, decoded
+    # by random access rather than walked.
+    inst = ParadoxInstance(rank)
+    pairs = inst.pairs(limit)
+    part, reas = inst._sweep(lo, hi, pairs, tuple(pairs))
+    lab = VertexLabeling(rank)
+    words = [(n, lab.word_of_label(n).letters) for n in range(lo, hi + 1)]
+    counts, covered, part_violations, reas_violations = oracle.sweep(
+        words, inst.special, pairs, limit
+    )
+    names = {c: c if c == "overflow" else WordClass(*c).label(rank) for c in counts}
+    assert part.counts == {names[c]: count for c, count in counts.items()}
+    assert reas.covered == covered
+    assert part.violations == part_violations == []
+    assert reas.violations == reas_violations == []
+
+
+def _per_label_sweep(inst, lo, hi, pairs):
+    # The sweep as it was before the type tally: one verdict per label.
+    checks = paradox._classes(pairs)
+    top = pairs[-1] if inst.rank == OMEGA else None
+    tally, covered = {}, dict.fromkeys(pairs, 0)
+    part_violations, reas_violations = [], []
+    for n in range(lo, hi + 1):
+        word = inst.labeling.word_of_label(n).letters
+        counted, reason, pull_reasons = paradox._verdict(word, inst.special, checks, top, pairs)
+        tally[counted] = tally.get(counted, 0) + 1
+        if reason is not None:
+            part_violations.append((n, reason))
+        for j, pull_reason in zip(pairs, pull_reasons):
+            if pull_reason is None:
+                covered[j] += 1
+            else:
+                reas_violations.append((j, n, pull_reason))
+    counts = {c.label(inst.rank): tally.get(c, 0) for c in checks}
+    if top is not None:
+        counts["overflow"] = tally.get("overflow", 0)
+    return counts, covered, part_violations, reas_violations
+
+
+_TYPE_MUTATIONS = {
+    # Each reads only the first letter of its word and whether the word is
+    # a power of x_s, so its verdict on a label's word w reads only tau(w).
+    "every plus class": lambda real, w, j, side, s: side == PLUS or real(w, j, side, s),
+    "flip minus on x2": lambda real, w, j, side, s: (
+        real(w, j, side, s) != (side == MINUS and bool(w) and w[0] == 2)
+    ),
+    "flip powers of x_s": lambda real, w, j, side, s: (
+        real(w, j, side, s) != (j == s and bool(w) and w.count(s) == len(w))
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_TYPE_MUTATIONS))
+@pytest.mark.parametrize("rank, limit, lo, hi", [
+    (2, None, -300, 200), (3, None, -150, 250), (OMEGA, 3, -200, 150), (OMEGA, 10, -60, 90),
+])
+def test_sweep_equals_per_label_verdicts_under_type_mutations(
+    monkeypatch, mutation, rank, limit, lo, hi
+):
+    # Broken predicates that still read only the type make violations; the
+    # tally must scale them and the second walk list them as a per-label
+    # sweep does.
+    real = paradox._is_member
+    mutate = _TYPE_MUTATIONS[mutation]
+    monkeypatch.setattr(paradox, "_is_member", lambda *args: mutate(real, *args))
+    inst = ParadoxInstance(rank)
+    pairs = inst.pairs(limit)
+    part, reas = inst._sweep(lo, hi, pairs, tuple(pairs))
+    expected = _per_label_sweep(inst, lo, hi, pairs)
+    assert (part.counts, reas.covered, part.violations, reas.violations) == expected
+    assert part.violations or reas.violations
 
 
 def test_sweep_leaves_labeling_memo_empty():

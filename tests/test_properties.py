@@ -6,7 +6,10 @@ evaluations from integer image tables; rank-omega labels are counted from
 tables of reduced-word counts and walked by a weight-bucket successor.  All
 are checked here on random inputs against ``tests/oracle.py``: cancellation
 by deleting inverse pairs, the action of words on labels through a
-brute-force label table, and reduced words counted by recursion.
+brute-force label table, and reduced words counted by recursion.  The sweep
+judges one word per type key, which rests on every word of a key getting
+the same verdict; that and the tree action being a homomorphism are checked
+on random words too.
 """
 
 import functools
@@ -14,7 +17,7 @@ from itertools import islice
 
 from hypothesis import given, settings, strategies as st
 
-from lineparadox.freegroup import Word, _omega_words_from
+from lineparadox.freegroup import OMEGA, Word, _omega_words_from, multiply
 from lineparadox.labeling import (
     VertexLabeling,
     _continuations,
@@ -22,6 +25,7 @@ from lineparadox.labeling import (
     _letters_omega,
     _position_omega,
 )
+from lineparadox.paradox import _classes, _type_key, _verdict
 from lineparadox.permutation import TreePermutation, _prefix_fixed
 from lineparadox.rigid import PiecewiseRigidMap, _image_tables, compose_maps, floor_part
 
@@ -100,3 +104,57 @@ def test_omega_successor_equals_next_decode(pos):
 def test_continuation_count_equals_recursive_count(r, s, p):
     _grow_tables(r + s)
     assert _continuations(r, s, p) == oracle.tail_count(r, s, p)
+
+
+@st.composite
+def same_key_words(draw, k, max_tail=6):
+    """Two reduced words over k pairs with the same type key, and the special
+    index s the key is taken at (k for rank k, 1 for rank omega with pair
+    limit k): the same first two letters and the same number of letters
+    other than x_s."""
+    s = k if draw(st.booleans()) else 1
+    others = [a for j in range(1, k + 1) for a in (j, -j) if a != s]
+    word = draw(reduced_words(k, 2))
+    if len(word) < 2:
+        return s, word, word  # no other word starts with all of it
+
+    def tail(count):
+        # count letters other than x_s after the first two, each after a
+        # run of x_s that does not cancel the letter before it.
+        letters = list(word)
+        for i in range(count + 1):
+            if letters[-1] != -s:
+                letters += [s] * draw(st.integers(0, 3))
+            if i < count:
+                letters.append(draw(st.sampled_from([a for a in others if a != -letters[-1]])))
+        return tuple(letters)
+
+    count = draw(st.integers(0, max_tail))
+    return s, tail(count), tail(count)
+
+
+@settings(max_examples=300)
+@given(k=st.integers(2, 4), words=st.data())
+def test_verdict_depends_only_on_type_key(k, words):
+    s, u, w = words.draw(same_key_words(k))
+    assert _type_key(u, s) == _type_key(w, s)
+    # s == k is rank k; s == 1 is rank omega, with a pair limit that may
+    # leave some letters of the words past it.
+    top = None if s == k else words.draw(st.integers(1, k))
+    pairs = tuple(range(1, (top or k) + 1))
+    checks = _classes(pairs)
+    assert _verdict(u, s, checks, top, pairs) == _verdict(w, s, checks, top, pairs)
+
+
+@given(
+    k=st.sampled_from([2, 3, OMEGA]),
+    data=st.data(),
+    n=st.integers(-(10**12), 10**12),
+)
+def test_tree_map_of_product_is_composite(k, data, n):
+    top = 4 if k == OMEGA else k
+    u = Word(data.draw(reduced_words(top, 6)))
+    v = Word(data.draw(reduced_words(top, 6)))
+    lab = VertexLabeling(k)
+    uv = TreePermutation(multiply(u, v), lab)
+    assert uv.apply(n) == TreePermutation(u, lab).apply(TreePermutation(v, lab).apply(n))
