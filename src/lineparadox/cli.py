@@ -5,8 +5,9 @@ line-strip.  Windows are written ``lo..hi`` and are inclusive of both interval
 indices, except that plot-fn draws the pieces for n in [lo, hi).  Outputs go
 to stdout, or atomically (write-temp-then-rename) to --out.  Identical flags
 produce byte-identical output.  Exit status: 0 success (and verification
-passed), 1 verification failed, 2 usage or input error, 3 word, grid-line,
-Cayley-ball vertex, line-strip cell or rank-omega weight budget exceeded.
+passed), 1 verification failed, 2 usage or input error, 3 word, window-label,
+pair-limit, grid-line, Cayley-ball vertex, line-strip cell or rank-omega
+weight budget exceeded.
 """
 
 from __future__ import annotations
@@ -54,6 +55,14 @@ MAX_GRID_LINES = 100_000
 #: Most vertices a plot-cayley ball may hold; larger balls exit 3 before any
 #: vertex is built.
 MAX_BALL_VERTICES = 100_000
+
+#: Most labels a verify or classify window may hold: the ±10⁶ window, about
+#: 4 s of verify at rank 2.  Wider windows exit 3 before the walk starts.
+MAX_WINDOW_LABELS = 2_000_001
+
+#: Most generator pairs --J may name at rank omega, each with its classes,
+#: counts and report lines; larger limits exit 3 before any class is listed.
+MAX_PAIR_LIMIT = 10_000
 
 #: Most cells a line-strip may draw, one per label of the window; wider
 #: windows exit 3 before the walk starts.
@@ -129,6 +138,7 @@ def _json_text(obj) -> str:
 
 
 def _cmd_classify(args) -> int:
+    _check_window(*args.window)
     rows = (
         [n, format_word(Word._from_reduced(letters)), cls.label(args.k)]
         for n, letters, cls in ParadoxInstance(args.k).classify_window(*args.window)
@@ -144,6 +154,7 @@ def _cmd_classify(args) -> int:
 def _cmd_verify(args) -> int:
     inst = ParadoxInstance(args.k)
     lo, hi = args.window
+    _check_window(lo, hi)
     summary = verification_summary(
         inst, lo, hi,
         pair_limit=args.J if args.k == OMEGA else None,
@@ -177,6 +188,10 @@ def _cmd_plot_fn(args) -> int:
 def _check_budget(what: str, need: int, unit: str, limit: int) -> None:
     if need > limit:
         raise BudgetExceededError(f"the {what} needs {need} {unit}, more than the limit of {limit}")
+
+
+def _check_window(lo: int, hi: int) -> None:
+    _check_budget("window", hi - lo + 1, "labels", MAX_WINDOW_LABELS)
 
 
 def _cmd_plot_cayley(args) -> int:
@@ -315,6 +330,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_absorb_window_values(list(argv)))
     try:
+        if args.k == OMEGA:
+            _check_budget("rank omega pair list", args.J, "generator pairs", MAX_PAIR_LIMIT)
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

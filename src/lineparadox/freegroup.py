@@ -371,11 +371,17 @@ def parse_word(text: str, rank=None) -> Word:
 
 def format_word(w: Word) -> str:
     """Canonical text for a word; inverse of :func:`parse_word` on outputs."""
-    if not w.letters:
+    letters = w.letters
+    if not letters:
         return "e"
     parts = []
-    for a, run in itertools.groupby(w.letters):
-        m = len(list(run))
-        tok = f"{'x' if a > 0 else 'X'}{abs(a)}"
+    run, m = letters[0], 1
+    # The 0 closes the last run.
+    for a in letters[1:] + (0,):
+        if a == run:
+            m += 1
+            continue
+        tok = f"x{run}" if run > 0 else f"X{-run}"
         parts.append(tok if m == 1 else f"{tok}^{m}")
+        run, m = a, 1
     return " ".join(parts)

@@ -58,6 +58,7 @@ from .labeling import (
     BudgetExceededError,
     VertexLabeling,
     _position_finite,
+    _position_omega,
     _window_letters,
     _window_words,
     ball_vertex_count,
@@ -375,7 +376,8 @@ class ParadoxInstance:
         which is a violation if it is one of the checked words.  Violations
         come in enumeration order, then by ascending n.  Distinctness is
         witnessed on label 0: the action sends 0 to the label of the word
-        itself, and the labeling is injective.
+        itself, and the labeling is injective.  At finite rank the i-th word
+        must encode to position i; at rank OMEGA the positions go in a set.
         """
         if max_length < 1:
             raise ValueError(f"max_length must be >= 1, got {max_length}")
@@ -387,7 +389,10 @@ class ParadoxInstance:
             )
         # The nonempty words up to max_length are the first total from x1 on.
         words = islice(_words_from(k, (1,)), total)
-        images_of_zero = {self.labeling.label_of_word(Word._from_reduced(u)) for u in words}
+        if self.rank == OMEGA:
+            distinct = len({_position_omega(u) for u in words}) == total
+        else:
+            distinct = all(_position_finite(k, u) == i for i, u in enumerate(words, 1))
 
         def rank_of(u: tuple[int, ...]) -> int | None:
             # Exactly the checked words: nonempty, reduced, short enough, within k.
@@ -405,7 +410,7 @@ class ParadoxInstance:
                 (format_word(Word._from_reduced(u)), lo + i)
                 for u, i in _prefix_fixed(window, max_length // 2, rank_of)
             ],
-            distinct_actions=len(images_of_zero) == total,
+            distinct_actions=distinct,
         )
 
 

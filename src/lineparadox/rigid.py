@@ -5,18 +5,20 @@ For an integer permutation p, the induced map is
     f(x) = p(floor(x)) + frac(x)
 
 which translates each unit interval [n, n+1) rigidly onto [p(n), p(n)+1).
-All arithmetic is exact over the rationals (:class:`fractions.Fraction`);
-floats never enter evaluation.  Maps are either a single permutation-induced
-map or a composite chain.  A composite keeps its formal factor sequence for
-display and audit, but when all factors share a backing form the composition
-collapses to a single permutation used for evaluation; the two views agree
-pointwise because unit-interval translations compose interval-by-interval.
+Evaluation is exact over the rationals (:class:`fractions.Fraction`); floats
+never enter it, and the audit decides its samples on integers alone.  Maps
+are either a single permutation-induced map or a composite chain.  A
+composite keeps its formal factor sequence for display and audit, but when
+all factors share a backing form the composition collapses to a single
+permutation used for evaluation; the two views agree pointwise because
+unit-interval translations compose interval-by-interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from random import Random
 from typing import NamedTuple
 
@@ -160,8 +162,8 @@ class RigidityReport:
     #: (x, f(x), round trip or colliding x) triples that broke bijectivity,
     #: and (y, f^-1(y), table value) where the inverse disagrees with a table.
     bijection_failures: list[tuple] = field(default_factory=list)
-    #: (x1, x2, f(x2) - f(x1)) triples with a non-unit within-piece slope,
-    #: and (x, f(x), table value) where the map disagrees with a table.
+    #: (x, f(x), table value) at piece midpoints x = n + 1/2 where the map
+    #: departs from the unit-slope translation the tables give.
     slope_failures: list[tuple] = field(default_factory=list)
     #: All discontinuity locations in the window; integers by construction.
     discontinuities: list[int] = field(default_factory=list)
@@ -206,12 +208,6 @@ def _image_tables(f: PiecewiseRigidMap, lo: int, hi: int) -> tuple[dict[int, int
     return image, {image[n]: inv.image_of_integer(image[n]) for n in range(lo, hi)}
 
 
-def _sample_point(rng: Random, lo: int, hi: int) -> tuple[int, Fraction]:
-    n = rng.randrange(lo, hi)
-    den = rng.randrange(2, 1000)
-    return n, Fraction(n * den + rng.randrange(0, den), den)
-
-
 def rigidity_audit(
     f: PiecewiseRigidMap, lo: int, hi: int, samples: int, seed: int = 0
 ) -> RigidityReport:
@@ -221,11 +217,17 @@ def rigidity_audit(
     tabled through f, must come back to n through ``f.inverse()``, which also
     makes the images distinct, and at the midpoint of each piece ``f.eval``
     and ``f.eval_inverse`` must agree with the tables.  The rational part is
-    sampled: ``samples`` exact round trips at random points, with collision
-    detection of images, and ``samples // 2`` pairs in a common unit interval
-    whose images must keep their distance, each evaluation served from the
-    tables as one exact ``Fraction + int`` add.  Discontinuities are read off
-    the image table from the one-sided limits at integers.
+    sampled: ``samples`` round trips at random x = n + r/den, with collision
+    detection of images, decided on (n, r, den) alone.  With m = image[n],
+    the round trip holds iff preimage[m] == n, and two images collide iff
+    their keys (m, r/g, den/g), g = gcd(r, den), are equal; a ``Fraction``
+    is built only for a failure's witness.  Discontinuities are read off the
+    image table from the one-sided limits at integers.
+
+    The midpoint tie is what checks unit slope.  The tables model each piece
+    as x -> x + s with s = image[n] - n, and (x2 + s) - (x1 + s) = x2 - x1,
+    so no pair served from them can fail; only ``f.eval`` can depart from
+    the model, and the tie compares the two on every piece of the window.
     """
     if lo >= hi:
         raise ValueError(f"audit window must satisfy lo < hi, got [{lo}, {hi}]")
@@ -244,29 +246,21 @@ def rigidity_audit(
         if f.eval_inverse(y + _HALF) != back + _HALF:
             bijection.append((y + _HALF, f.eval_inverse(y + _HALF), back + _HALF))
 
-    seen: dict[Fraction, Fraction] = {}
+    seen: dict[tuple[int, int, int], int] = {}
     for _ in range(samples):
-        n, x = _sample_point(rng, lo, hi)
-        m = image[n]
-        y = x + (m - n)
-        back = y + (preimage[m] - m)
-        if back != x:
-            bijection.append((x, y, back))
-        prior = seen.get(y)
-        if prior is not None and prior != x:
-            bijection.append((x, y, prior))
-        seen[y] = x
-
-    for _ in range(samples // 2):
         n = rng.randrange(lo, hi)
-        den1 = rng.randrange(2, 1000)
-        den2 = rng.randrange(2, 1000)
-        x1 = Fraction(n * den1 + rng.randrange(0, den1), den1)
-        x2 = Fraction(n * den2 + rng.randrange(0, den2), den2)
-        shift = image[n] - n
-        rise = (x2 + shift) - (x1 + shift)
-        if rise != x2 - x1:
-            slope.append((x1, x2, rise))
+        den = rng.randrange(2, 1000)
+        r = rng.randrange(0, den)
+        m = image[n]
+        back = preimage[m]
+        if back != n:
+            bijection.append(tuple(Fraction(i * den + r, den) for i in (n, m, back)))
+        g = gcd(r, den)
+        key = (m, r // g, den // g)
+        prior = seen.get(key)
+        if prior is not None and prior != n:
+            bijection.append(tuple(Fraction(i * den + r, den) for i in (n, m, prior)))
+        seen[key] = n
 
     report.discontinuities = [n for n in range(lo, hi + 1) if image[n] - image[n - 1] != 1]
     return report

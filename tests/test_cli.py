@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 import lineparadox
-from lineparadox import cli, labeling
+from lineparadox import cli, labeling, paradox
 from lineparadox.cli import MAX_BALL_VERTICES, main
 from lineparadox.freegroup import OMEGA, format_word
 from lineparadox.labeling import VertexLabeling, ball_vertex_count
@@ -378,6 +378,63 @@ def test_line_strip_budget_boundary(capsys, monkeypatch):
     assert code == 0 and out.startswith("<svg")
     assert run(capsys, "line-strip", "--window", "-10..11")[0] == 3
     assert run(capsys, "line-strip", "--k", "omega", "--window", "-11..10")[0] == 3
+
+
+@pytest.mark.parametrize("command", ["verify", "classify"])
+def test_window_budget_boundary(capsys, monkeypatch, command):
+    monkeypatch.setattr(cli, "MAX_WINDOW_LABELS", 21)
+    assert run(capsys, command, "--window", "-10..10")[0] == 0
+    assert run(capsys, command, "--window", "-10..11")[0] == 3
+    assert run(capsys, command, "--k", "omega", "--window", "-11..10")[0] == 3
+
+
+@pytest.mark.parametrize("command", ["verify", "classify"])
+def test_wide_window_refused_before_walk(capsys, monkeypatch, command):
+    def no_walk(*args):
+        raise AssertionError("the window must not be walked")
+
+    monkeypatch.setattr(paradox, "_window_words", no_walk)
+    monkeypatch.setattr(paradox, "_window_letters", no_walk)
+    code, out, err = run(capsys, command, "--window", f"{-10**18}..{10**18}")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and f"{2 * 10**18 + 1} labels" in err
+
+
+def test_window_budget_admits_the_million_window():
+    cli._check_window(-10**6, 10**6)
+    with pytest.raises(cli.BudgetExceededError):
+        cli._check_window(-10**6, 10**6 + cli.MAX_WINDOW_LABELS)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--window", "0..3"],
+    ["classify", "--window", "0..3"],
+    ["line-strip", "--window", "0..3"],
+    ["enumerate", "--count", "3"],
+    ["connect", "1", "2"],
+    ["plot-fn", "--word", "x1", "--window", "0..1"],
+])
+def test_pair_limit_budget_boundary(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "MAX_PAIR_LIMIT", 5)
+    assert run(capsys, *argv, "--k", "omega", "--J", "5")[0] == 0
+    code, out, err = run(capsys, *argv, "--k", "omega", "--J", "6")
+    assert code == 3
+    assert out == ""
+    assert "6 generator pairs" in err
+    # The limit is on rank omega's pairs alone.
+    assert run(capsys, *argv, "--k", "2", "--J", "6")[0] == 0
+
+
+def test_pair_limit_refused_before_class_list(capsys, monkeypatch):
+    def no_pairs(self, pair_limit=None):
+        raise AssertionError("no class list may be built")
+
+    monkeypatch.setattr(ParadoxInstance, "pairs", no_pairs)
+    code, out, err = run(capsys, "verify", "--k", "omega", "--J", "100000", "--window", "0..3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "100000 generator pairs" in err
 
 
 @pytest.mark.parametrize("k, window", [

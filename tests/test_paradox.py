@@ -443,6 +443,37 @@ def test_certify_free_action_omega():
     assert report.words_checked == 36  # ball of radius 2 over 3 pairs, minus identity
 
 
+@pytest.mark.parametrize("rank, length, limit", [(2, 6, None), (OMEGA, 3, 3)])
+def test_certify_free_action_leaves_labeling_memo_empty(rank, length, limit):
+    inst = ParadoxInstance(rank)
+    assert inst.certify_free_action(length, -30, 30, pair_limit=limit).passed
+    assert inst.labeling._word_by_pos == {}
+    assert inst.labeling._pos_by_letters == {}
+
+
+@pytest.mark.parametrize("rank, length, limit", [(2, 4, None), (OMEGA, 3, 3)])
+def test_certify_free_action_catches_a_repeated_word(monkeypatch, rank, length, limit):
+    # A walk that yields its first word twice, in place of its second, still
+    # yields as many words as are checked; one action then repeats.
+    real = paradox._words_from
+
+    def repeating(k, letters):
+        words = real(k, letters)
+        first = next(words)
+        next(words)
+        yield first
+        yield first
+        yield from words
+
+    inst = ParadoxInstance(rank)
+    assert inst.certify_free_action(length, -10, 10, pair_limit=limit).distinct_actions
+    monkeypatch.setattr(paradox, "_words_from", repeating)
+    report = inst.certify_free_action(length, -10, 10, pair_limit=limit)
+    assert not report.distinct_actions
+    assert not report.passed
+    assert report.fixed_point_violations == []
+
+
 # --- combined summary --------------------------------------------------------
 
 

@@ -14,6 +14,8 @@ from lineparadox.permutation import (
 from lineparadox.rigid import (
     Piece,
     PiecewiseRigidMap,
+    RigidityReport,
+    _image_tables,
     compose_maps,
     floor_part,
     fractional_part,
@@ -348,7 +350,7 @@ def _reference_audit(f, lo, hi, samples, seed):
     }
 
 
-def test_rigidity_audit_matches_direct_evaluation_on_c8_maps(lab2):
+def _c8_maps(lab2):
     # The 24 maps of acceptance criterion C8, built the same way.
     sigma = PiecewiseRigidMap(TreePermutation(Word((1,)), lab2))
     tau = PiecewiseRigidMap(TreePermutation(Word((2,)), lab2))
@@ -360,6 +362,108 @@ def test_rigidity_audit_matches_direct_evaluation_on_c8_maps(lab2):
         g = PiecewiseRigidMap(TreePermutation(Word(rng.choice(words)), lab2))
         maps.append(compose_maps(f, g))
     assert len(maps) == 24
-    for f in maps:
+    return maps
+
+
+def test_rigidity_audit_matches_direct_evaluation_on_c8_maps(lab2):
+    for f in _c8_maps(lab2):
         got = rigidity_audit(f, -50, 50, samples=1000, seed=5).to_dict()
         assert got == _reference_audit(f, -50, 50, samples=1000, seed=5)
+
+
+def _fraction_sample_audit(f, lo, hi, samples, seed=0):
+    """The audit as it stood when every sample was an exact ``Fraction``,
+    followed by ``samples // 2`` slope pairs served from the tables; kept
+    frozen to pin the integer-triple samples to it, witnesses included."""
+    rng = random.Random(seed)
+    report = RigidityReport(window=(lo, hi), samples=samples)
+    bijection, slope = report.bijection_failures, report.slope_failures
+    half = Fraction(1, 2)
+
+    image, preimage = _image_tables(f, lo, hi)
+    for n in range(lo, hi):
+        y, x = image[n], n + half
+        back = preimage[y]
+        if back != n:
+            bijection.append((n, y, back))
+        if f.eval(x) != y + half:
+            slope.append((x, f.eval(x), y + half))
+        if f.eval_inverse(y + half) != back + half:
+            bijection.append((y + half, f.eval_inverse(y + half), back + half))
+
+    seen = {}
+    for _ in range(samples):
+        n = rng.randrange(lo, hi)
+        den = rng.randrange(2, 1000)
+        x = Fraction(n * den + rng.randrange(0, den), den)
+        m = image[n]
+        y = x + (m - n)
+        back = y + (preimage[m] - m)
+        if back != x:
+            bijection.append((x, y, back))
+        prior = seen.get(y)
+        if prior is not None and prior != x:
+            bijection.append((x, y, prior))
+        seen[y] = x
+
+    for _ in range(samples // 2):
+        n = rng.randrange(lo, hi)
+        den1 = rng.randrange(2, 1000)
+        den2 = rng.randrange(2, 1000)
+        x1 = Fraction(n * den1 + rng.randrange(0, den1), den1)
+        x2 = Fraction(n * den2 + rng.randrange(0, den2), den2)
+        shift = image[n] - n
+        rise = (x2 + shift) - (x1 + shift)
+        if rise != x2 - x1:
+            slope.append((x1, x2, rise))
+
+    report.discontinuities = [n for n in range(lo, hi + 1) if image[n] - image[n - 1] != 1]
+    return report
+
+
+def _same_audit(f, lo, hi, samples, seed=0):
+    got = rigidity_audit(f, lo, hi, samples=samples, seed=seed)
+    want = _fraction_sample_audit(f, lo, hi, samples, seed)
+    assert got.bijection_failures == want.bijection_failures
+    assert got.slope_failures == want.slope_failures
+    assert got.discontinuities == want.discontinuities
+    assert got.to_dict() == want.to_dict()
+    return got
+
+
+class _HalfWrongInverse(IntegerPermutation):
+    """Moves each even n up by 2, but claims the identity as its inverse."""
+
+    def apply(self, n):
+        return n + 2 if n % 2 == 0 else n
+
+    def inverse(self):
+        return CyclePermutation(())
+
+
+@pytest.mark.parametrize("make, lo, hi, samples, seed", [
+    (_NotInjective, 0, 3, 1, 0),
+    (_NotInjective, 0, 3, 800, 1),
+    (_WrongInverse, -50, 50, 1, 0),
+    (_WrongInverse, -50, 50, 2000, 3),
+    (_HalfWrongInverse, -30, 30, 2000, 7),
+])
+def test_integer_samples_match_fraction_samples_on_broken_maps(make, lo, hi, samples, seed):
+    report = _same_audit(PiecewiseRigidMap(make()), lo, hi, samples, seed)
+    assert not report.passed
+
+
+def test_integer_samples_report_sample_witnesses():
+    # Half the window's integers come back wrong, so random samples land on
+    # them and are reported as rational triples, beyond the integer ones.
+    report = _same_audit(PiecewiseRigidMap(_HalfWrongInverse()), -30, 30, 2000, 7)
+    witnesses = [t for t in report.bijection_failures if t[0].denominator > 2]
+    assert witnesses
+    for x, y, back in witnesses:
+        assert floor_part(y) == floor_part(x) + 2 and back == y
+        assert fractional_part(x) == fractional_part(y)
+
+
+def test_integer_samples_match_fraction_samples_on_c8_maps(lab2):
+    for f in _c8_maps(lab2):
+        assert _same_audit(f, -50, 50, 10_000, 5).passed
