@@ -5,9 +5,9 @@ line-strip.  Windows are written ``lo..hi`` and are inclusive of both interval
 indices, except that plot-fn draws the pieces for n in [lo, hi).  Outputs go
 to stdout, or atomically (write-temp-then-rename) to --out.  Identical flags
 produce byte-identical output.  Exit status: 0 success (and verification
-passed), 1 verification failed, 2 usage or input error, 3 word, window-label,
-pair-limit, grid-line, Cayley-ball vertex, line-strip cell or rank-omega
-weight budget exceeded.
+passed), 1 verification failed, 2 usage or input error, 3 word, word-letter,
+window-label, pair-limit, grid-line, Cayley-ball vertex, line-strip cell or
+rank-omega weight budget exceeded.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import io
 import json
 import os
 import re
@@ -125,12 +124,12 @@ def _emit(text: str, out: str | None) -> None:
         fh.write(text)
 
 
-def _csv_text(header: list[str], rows: Iterable[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _emit_csv(header: list[str], rows: Iterable[list], out: str | None) -> None:
+    """Write the header, then stream ``rows`` into the output one at a time."""
+    with _output(out) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _json_text(obj) -> str:
@@ -144,10 +143,9 @@ def _cmd_classify(args) -> int:
         for n, letters, cls in ParadoxInstance(args.k).classify_window(*args.window)
     )
     if args.format == "json":
-        text = _json_text([{"n": n, "word": w, "class": c} for n, w, c in rows])
+        _emit(_json_text([{"n": n, "word": w, "class": c} for n, w, c in rows]), args.out)
     else:
-        text = _csv_text(["n", "word", "class"], rows)
-    _emit(text, args.out)
+        _emit_csv(["n", "word", "class"], rows, args.out)
     return 0
 
 
@@ -162,10 +160,9 @@ def _cmd_verify(args) -> int:
         word_budget=args.budget,
     )
     if args.format == "csv":
-        text = _csv_text(["class", "count"], [[name, c] for name, c in summary["counts"].items()])
+        _emit_csv(["class", "count"], summary["counts"].items(), args.out)
     else:
-        text = _json_text(summary)
-    _emit(text, args.out)
+        _emit(_json_text(summary), args.out)
     return 0 if summary["pass"] else 1
 
 
@@ -230,10 +227,7 @@ def _cmd_enumerate(args) -> int:
         [label_from_position(pos), pos, format_word(w), len(w)]
         for pos, w in enumerate(islice(iter_words(args.k), args.count))
     )
-    with _output(args.out) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["label", "position", "word", "length"])
-        writer.writerows(rows)
+    _emit_csv(["label", "position", "word", "length"], rows, args.out)
     return 0
 
 

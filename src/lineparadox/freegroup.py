@@ -42,6 +42,10 @@ class UnreducedWordError(ValueError):
     """A word that must already be reduced contains an adjacent inverse pair."""
 
 
+class BudgetExceededError(RuntimeError):
+    """A computation would exceed one of its configured size budgets."""
+
+
 def check_rank(rank) -> None:
     if rank == OMEGA:
         return
@@ -341,6 +345,11 @@ class WordSyntaxError(ValueError):
     """Unparseable word text."""
 
 
+#: Most letters a word text may spell out before reduction, exponents
+#: expanded; longer texts raise BudgetExceededError before any run is built.
+MAX_WORD_LETTERS = 100_000
+
+
 def parse_word(text: str, rank=None) -> Word:
     """Parse the textual word grammar; the result is reduced."""
     letters: list[int] = []
@@ -365,6 +374,10 @@ def parse_word(text: str, rank=None) -> Word:
         if exp < 0:
             a = -a
             exp = -exp
+        if len(letters) + exp > MAX_WORD_LETTERS:
+            raise BudgetExceededError(
+                f"the word spells more letters than the limit of {MAX_WORD_LETTERS}"
+            )
         letters.extend([a] * exp)
     return reduce(letters, rank)
 

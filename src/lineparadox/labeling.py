@@ -11,14 +11,13 @@ directions are computed in closed form: for finite rank by counting shorter
 words and lexicographic offsets in base 2k-1, for rank OMEGA from tables of
 the number of reduced words of each length and weight, grown up to
 :data:`MAX_OMEGA_WEIGHT`; the univariate growth series gives the weight of a
-position before they grow, so heavier positions are refused at once.  Pairs
-computed by random access (``word_of_label``, ``label_of_word``) are cached
-per labeling instance; that cache only grows, never changes an existing
-entry, and is filled by those two methods alone.  Window sweeps bypass it:
-at every rank they walk the window's labels with :func:`_window_words`,
-which decodes one word and steps a successor through the rest, so their
-memory stays flat in the window size.  Cayley balls walk the enumeration too, from the identity, and find each
-neighbour in a table local to the ball.
+position before they grow, so heavier positions are refused at once.  A
+labeling holds nothing but its rank: ``word_of_label`` and ``label_of_word``
+compute every call afresh, so random access keeps no state between calls
+and its memory stays flat however many labels it visits.  Window sweeps walk
+the window's labels with :func:`_window_words`, which decodes one word and
+steps a successor through the rest.  Cayley balls walk the enumeration too,
+from the identity, and find each neighbour in a table local to the ball.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from typing import Iterator, Mapping
 
 from .freegroup import (
     OMEGA,
+    BudgetExceededError,
     Word,
     _omega_words_from,
     _words_from,
@@ -43,10 +43,6 @@ from .freegroup import (
 
 class UnsupportedRankError(ValueError):
     """Operation requires a finite rank."""
-
-
-class BudgetExceededError(RuntimeError):
-    """A computation would exceed one of its configured size budgets."""
 
 
 def label_from_position(pos: int) -> int:
@@ -259,11 +255,11 @@ def _letters_omega(pos: int) -> tuple[int, ...]:
 def _window_words(rank, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Yield ``(label, letters)`` once for every label in [lo, hi].
 
-    No memo is read or filled, so a sweep's memory stays flat in the window
-    size.  The labels fill a run of positions: every position while the
-    window holds both n and -n, then one parity.  The walk decodes the first
-    position and steps the successor of its rank through the run, at most
-    two steps per label, so labels come in position order.
+    Only the walk's current word is held, so a sweep's memory stays flat in
+    the window size.  The labels fill a run of positions: every position
+    while the window holds both n and -n, then one parity.  The walk decodes
+    the first position and steps the successor of its rank through the run,
+    at most two steps per label, so labels come in position order.
     """
     if lo > hi:
         return iter(())
@@ -299,14 +295,13 @@ class VertexLabeling:
     """The canonical label <-> word bijection for one rank.
 
     Two labelings of the same rank are the same function, so equality is by
-    rank.  Instances memoize every pair they compute, in both directions.
+    rank.  Both directions are closed forms, so an instance holds only its
+    rank.
     """
 
     def __init__(self, rank):
         check_rank(rank)
         self.rank = rank
-        self._word_by_pos: dict[int, Word] = {}
-        self._pos_by_letters: dict[tuple[int, ...], int] = {}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, VertexLabeling) and self.rank == other.rank
@@ -320,31 +315,16 @@ class VertexLabeling:
 
     def word_of_label(self, n: int) -> Word:
         pos = position_from_label(n)
-        w = self._word_by_pos.get(pos)
-        if w is None:
-            if self.rank == OMEGA:
-                letters = _letters_omega(pos)
-            else:
-                letters = _letters_finite(self.rank, pos)
-            w = Word._from_reduced(letters)
-            self._word_by_pos[pos] = w
-            self._pos_by_letters[letters] = pos
-        return w
+        if self.rank == OMEGA:
+            return Word._from_reduced(_letters_omega(pos))
+        return Word._from_reduced(_letters_finite(self.rank, pos))
 
     def label_of_word(self, w: Word) -> int:
-        pos = self._pos_by_letters.get(w.letters)
-        if pos is None:
-            if self.rank == OMEGA:
-                pos = _position_omega(w.letters)
-            else:
-                if any(abs(a) > self.rank for a in w.letters):
-                    raise ValueError(
-                        f"word {w} uses generators beyond rank {self.rank}"
-                    )
-                pos = _position_finite(self.rank, w.letters)
-            self._pos_by_letters[w.letters] = pos
-            self._word_by_pos[pos] = w
-        return label_from_position(pos)
+        if self.rank == OMEGA:
+            return label_from_position(_position_omega(w.letters))
+        if any(abs(a) > self.rank for a in w.letters):
+            raise ValueError(f"word {w} uses generators beyond rank {self.rank}")
+        return label_from_position(_position_finite(self.rank, w.letters))
 
     def connecting_word(self, m: int, n: int) -> Word:
         """The unique reduced word whose tree action sends label m to label n."""
@@ -359,7 +339,7 @@ class VertexLabeling:
         # The ball is the first ball_vertex_count positions, walked once.  The
         # neighbour a * w cancels w's first letter or prepends a, so its label
         # is read from the ball's own table (None outside the ball), with no
-        # decode, encode or memo.
+        # decode or encode.
         words = islice(_words_from(k, ()), ball_vertex_count(k, radius))
         label_of = {w: label_from_position(pos) for pos, w in enumerate(words)}
         signed = ordered_letters(k)

@@ -266,10 +266,16 @@ class ParadoxInstance:
         return self.classify_interval(floor_part(as_rational(x)))
 
     def classify_window(self, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...], WordClass]]:
-        """``(n, letters, class)`` for n = lo, ..., hi, walked without the memo."""
+        """``(n, letters, class)`` for n = lo, ..., hi, in label order.
+
+        The window's words are decoded by one walk before this returns, so
+        a label past a budget raises here, before any row is yielded.
+        """
         s = self.special
-        for n, letters in enumerate(_window_letters(self.rank, lo, hi), lo):
-            yield n, letters, WordClass(*_classify_letters(letters, s))
+        return (
+            (n, letters, WordClass(*_classify_letters(letters, s)))
+            for n, letters in enumerate(_window_letters(self.rank, lo, hi), lo)
+        )
 
     def verify_partition(self, lo: int, hi: int, pair_limit: int | None = None) -> PartitionReport:
         """Every label in [lo, hi] must satisfy exactly one class predicate.

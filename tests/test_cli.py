@@ -243,6 +243,14 @@ def test_plot_fn_refuses_oversized_grid(capsys, argv):
     assert err.startswith("error:") and "grid lines" in err
 
 
+@pytest.mark.parametrize("word", ["x1^200000", "x1^1000000000", "x1^60000 X2^60000"])
+def test_plot_fn_refuses_oversized_word(capsys, word):
+    code, out, err = run(capsys, "plot-fn", "--k", "2", "--word", word, "--window", "0..1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "letters" in err
+
+
 def test_plot_fn_deterministic(capsys):
     argv = ("plot-fn", "--perm", "(012534)", "--window", "-2..8")
     _, first, _ = run(capsys, *argv)
@@ -399,6 +407,15 @@ def test_wide_window_refused_before_walk(capsys, monkeypatch, command):
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and f"{2 * 10**18 + 1} labels" in err
+
+
+def test_classify_refuses_heavy_label_before_any_row(capsys):
+    # The window is decoded before the CSV header is written, so a label
+    # past the rank-omega weight limit leaves stdout empty.
+    code, out, err = run(capsys, "classify", "--k", "omega", "--window", f"{2**255}..{2**255}")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "weight" in err
 
 
 def test_window_budget_admits_the_million_window():

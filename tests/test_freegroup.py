@@ -5,9 +5,11 @@ import pytest
 
 from lineparadox.freegroup import (
     IDENTITY,
+    MAX_WORD_LETTERS,
     MINUS,
     OMEGA,
     PLUS,
+    BudgetExceededError,
     InvalidLetterError,
     RankError,
     UnreducedWordError,
@@ -258,6 +260,16 @@ def test_parse_word_errors():
             parse_word(bad)
     with pytest.raises(InvalidLetterError):
         parse_word("x3", rank=2)
+
+
+def test_parse_word_letter_budget():
+    # The limit counts letters before reduction, exponents expanded.
+    assert len(parse_word(f"x1^{MAX_WORD_LETTERS}")) == MAX_WORD_LETTERS
+    assert parse_word(f"x1^{MAX_WORD_LETTERS // 2} X1^{MAX_WORD_LETTERS // 2}") == IDENTITY
+    # Refused before the run is built: a list of 10**9 letters is never asked for.
+    for text in (f"x1^{MAX_WORD_LETTERS + 1}", f"x2 g^-{MAX_WORD_LETTERS}", "x1^1000000000"):
+        with pytest.raises(BudgetExceededError):
+            parse_word(text)
 
 
 def test_format_word_examples():

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -395,8 +397,42 @@ def test_ball_matches_random_access(k, radius):
     assert ball == expected
     assert [list(e.neighbors) for e in ball.entries] == [ordered_letters(k)] * len(ball.entries)
     assert list(ball.edges()) == list(expected.edges())
-    # The ball is built from its own table, not through the label memo.
-    assert lab._word_by_pos == {} and lab._pos_by_letters == {}
+    # The ball is built from its own table: its peak is the ball's own size,
+    # and once the ball is dropped nothing of it stays, in the labeling or
+    # anywhere else.
+    del ball
+    peak, retained = _traced_peak(lambda: lab.ball(radius))
+    assert peak < 1_000 * len(expected.entries) + 50_000
+    assert retained < 10_000
+    assert vars(lab) == {"rank": k}
+
+
+def _traced_peak(fn) -> tuple[int, int]:
+    """Peak traced bytes while ``fn()`` runs, and the bytes still held once
+    its result is dropped."""
+    tracemalloc.start()
+    try:
+        fn()
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, retained
+
+
+def test_random_access_memory_stays_flat():
+    # A labeling holds only its rank, so 10**5 round trips on one instance
+    # peak at the size of one word, not of every word visited.
+    lab = VertexLabeling(2)
+
+    def round_trips():
+        for n in range(-50_000, 50_000):
+            assert lab.label_of_word(lab.word_of_label(n)) == n
+
+    peak, retained = _traced_peak(round_trips)
+    assert peak < 100_000
+    assert retained < 10_000
+    assert vars(lab) == {"rank": 2}
 
 
 def test_ball_rejects_omega_and_negative_radius():

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -381,11 +383,27 @@ def test_sweep_equals_per_label_verdicts_under_type_mutations(
     assert part.violations or reas.violations
 
 
+def _traced(fn):
+    """``fn()`` and the peak traced bytes while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        gc.collect()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_sweep_leaves_labeling_memo_empty():
+    # The labeling keeps no memo, and the sweep walks its window at flat
+    # memory: ten times the labels may not raise the peak by 50 kB.
     inst = ParadoxInstance(2)
-    assert inst.verify_partition(-2000, 2000).passed
-    assert inst.labeling._word_by_pos == {}
-    assert inst.labeling._pos_by_letters == {}
+    runs = [_traced(lambda: inst.verify_partition(-m, m)) for m in (2000, 20000)]
+    assert all(report.passed for report, _ in runs)
+    (_, small), (_, large) = runs
+    assert small < 200_000
+    assert large < small + 50_000
+    assert vars(inst.labeling) == {"rank": 2}
 
 
 def test_sweep_violations_in_ascending_order(monkeypatch):
@@ -445,10 +463,13 @@ def test_certify_free_action_omega():
 
 @pytest.mark.parametrize("rank, length, limit", [(2, 6, None), (OMEGA, 3, 3)])
 def test_certify_free_action_leaves_labeling_memo_empty(rank, length, limit):
+    # The labeling keeps no memo, and the certificate encodes its words
+    # without one, so its peak stays small.
     inst = ParadoxInstance(rank)
-    assert inst.certify_free_action(length, -30, 30, pair_limit=limit).passed
-    assert inst.labeling._word_by_pos == {}
-    assert inst.labeling._pos_by_letters == {}
+    report, peak = _traced(lambda: inst.certify_free_action(length, -30, 30, pair_limit=limit))
+    assert report.passed
+    assert peak < 200_000
+    assert vars(inst.labeling) == {"rank": rank}
 
 
 @pytest.mark.parametrize("rank, length, limit", [(2, 4, None), (OMEGA, 3, 3)])

@@ -68,14 +68,12 @@ def _table():
 @given(
     u=reduced_words(2, 3),
     v=reduced_words(2, 2),
-    collapse=st.booleans(),
     x=st.fractions(min_value=-20, max_value=20, max_denominator=10**6),
 )
-def test_table_served_evaluation_equals_eval(u, v, collapse, x):
+def test_table_served_evaluation_equals_eval(u, v, x):
     f = compose_maps(
         PiecewiseRigidMap(TreePermutation(Word(u), LAB2)),
         PiecewiseRigidMap(TreePermutation(Word(v), LAB2)),
-        collapse=collapse,
     )
     image, preimage = _image_tables(f, -20, 21)
     n = floor_part(x)
@@ -151,7 +149,7 @@ def test_verdict_depends_only_on_type_key(k, words):
     data=st.data(),
     n=st.integers(-(10**12), 10**12),
 )
-def test_tree_map_of_product_is_composite(k, data, n):
+def test_tree_map_of_product_is_product_of_maps(k, data, n):
     top = 4 if k == OMEGA else k
     u = Word(data.draw(reduced_words(top, 6)))
     v = Word(data.draw(reduced_words(top, 6)))
