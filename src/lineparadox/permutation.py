@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import re
 from abc import ABC, abstractmethod
-from typing import Callable
 
 from .freegroup import OMEGA, Word, invert, multiply
-from .labeling import VertexLabeling, _window_letters
+from .labeling import VertexLabeling
 
 
 class CycleError(ValueError):
@@ -167,37 +166,15 @@ def _cycles_from_mapping(mapping: dict[int, int]) -> list[tuple[int, ...]]:
 
 
 def fixed_points_in_window(p: IntegerPermutation, lo: int, hi: int) -> list[int]:
-    """All n in [lo, hi] (inclusive) with p(n) = n, ascending."""
-    if lo > hi:
-        return []
-    if isinstance(p, TreePermutation):
-        window = _window_letters(p.labeling.rank, lo, hi)
-        u = p.word.letters
-        return [lo + i for _, i in _prefix_fixed(window, len(u) // 2, {u: 0}.get)]
-    return [n for n in range(lo, hi + 1) if p.apply(n) == n]
+    """All n in [lo, hi] (inclusive) with p(n) = n, ascending.
 
-
-def _prefix_fixed(
-    window: list[tuple[int, ...]], half: int, rank_of: Callable[[tuple[int, ...]], int | None]
-) -> list[tuple[tuple[int, ...], int]]:
-    """Every ``(u, i)`` such that u fixes ``window[i]``, ``len(u) <= 2 * half``
-    and ``rank_of(u)`` is not None, sorted by that rank, then by i.
-
-    Left multiplication by u fixes a reduced w exactly when u * w re-reduces
-    to w: the cancellation must swallow the second half of u and the first
-    half must rebuild the prefix it replaced, so u = w[:t] + inverse(w[:t]).
-    Each window word thus has one candidate per prefix length.  No label is
-    computed, which is sound because the labeling is a bijection.
+    A tree permutation is read off its word: the free group acts freely on
+    its Cayley tree, so u * w = w forces u = e.  The identity fixes every
+    label and any other word fixes none.
     """
-    hits = []
-    for i, w in enumerate(window):
-        for t in range(min(len(w), half) + 1):
-            u = w[:t] + tuple(-a for a in reversed(w[:t]))
-            rank = rank_of(u)
-            if rank is not None:
-                hits.append((rank, i, u))
-    hits.sort()
-    return [(u, i) for _, i, u in hits]
+    if isinstance(p, TreePermutation):
+        return list(range(lo, hi + 1)) if p.is_identity else []
+    return [n for n in range(lo, hi + 1) if p.apply(n) == n]
 
 
 _CYCLE_GROUP_RE = re.compile(r"\(([^()]*)\)")

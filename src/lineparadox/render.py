@@ -6,7 +6,7 @@ produce byte-identical output; floats never reach the emitters.
 
 from __future__ import annotations
 
-from .freegroup import MINUS, OMEGA, PLUS, WordClass
+from .freegroup import PLUS, WordClass
 from .labeling import CayleyBall
 from .rigid import Piece
 
@@ -99,8 +99,8 @@ def function_graph_svg(pieces: list[Piece], lo: int, hi: int) -> str:
 def line_strip_svg(cells: list[tuple[int, WordClass | None]], rank) -> str:
     """One colored cell per unit interval; ``None`` marks an overflow class.
 
-    The legend lists every class that occurs, in first-occurrence order of
-    the class layout (pair then side), with overflow last.
+    The legend lists every class that occurs in the class layout's order:
+    by pair, plus before minus, with overflow last.
     """
     cell_w = 24
     strip_h = 40
@@ -112,24 +112,22 @@ def line_strip_svg(cells: list[tuple[int, WordClass | None]], rank) -> str:
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
     ]
-    seen: dict[str, str] = {}
+    seen: dict[WordClass | None, str] = {}
     for i, (_, cls) in enumerate(cells):
-        if cls is None:
-            color, name = OVERFLOW_COLOR, "other"
-        else:
-            color, name = class_color(cls), cls.label(rank)
-        seen.setdefault(name, color)
+        color = OVERFLOW_COLOR if cls is None else class_color(cls)
+        seen.setdefault(cls, color)
         x = _MARGIN + i * cell_w
         out.append(
             f'<rect x="{x}" y="{_MARGIN}" width="{cell_w}" height="{strip_h}" '
             f'fill="{color}" stroke="#ffffff" stroke-width="1"/>'
         )
-    legend_order = sorted(seen, key=_legend_key)
+    order = sorted(seen, key=lambda c: (1, 0, 0) if c is None else (0, c.pair, c.side != PLUS))
     ly = _MARGIN + strip_h + 16
     lx = _MARGIN
-    for name in legend_order:
+    for cls in order:
+        name = "other" if cls is None else cls.label(rank)
         out.append(
-            f'<rect x="{lx}" y="{ly - 10}" width="12" height="12" fill="{seen[name]}"/>'
+            f'<rect x="{lx}" y="{ly - 10}" width="12" height="12" fill="{seen[cls]}"/>'
         )
         out.append(
             f'<text x="{lx + 16}" y="{ly}" font-family="monospace" font-size="12">{name}</text>'
@@ -137,15 +135,6 @@ def line_strip_svg(cells: list[tuple[int, WordClass | None]], rank) -> str:
         lx += 16 + 10 * max(1, len(name)) + 14
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def _legend_key(name: str) -> tuple:
-    if name == "other":
-        return (2, 0, 0)
-    if "_" in name:
-        side, pair = name.split("_")
-        return (1, int(pair), 0 if side == "A" else 1)
-    return (0, "ABCD".index(name), 0)
 
 
 def cayley_ball_dot(ball: CayleyBall) -> str:

@@ -9,7 +9,7 @@ import pytest
 import lineparadox
 from lineparadox import cli, labeling, paradox
 from lineparadox.cli import MAX_BALL_VERTICES, main
-from lineparadox.freegroup import OMEGA, format_word
+from lineparadox.freegroup import OMEGA, Word, WordClass, _classify_letters, format_word
 from lineparadox.labeling import VertexLabeling, ball_vertex_count
 from lineparadox.paradox import ParadoxInstance
 from lineparadox.render import line_strip_svg
@@ -47,6 +47,48 @@ def test_classify_json(capsys):
         {"n": 0, "word": "e", "class": "D"},
         {"n": 1, "word": "x1", "class": "A"},
     ]
+
+
+def test_classify_json_streams_rows(capsys, monkeypatch, tmp_path):
+    # Stdout and --out carry the bytes of the array dumped whole, and the
+    # rows stream into the writer: peak memory stays flat in the row count.
+    for rank, flags, lo, hi in ((2, (), -300, 300), (3, ("--k", "3"), 0, 200),
+                                (OMEGA, ("--k", "omega", "--J", "2"), -100, 100)):
+        rows = [
+            {"n": n, "word": format_word(Word(letters)), "class": cls.label(rank)}
+            for n, letters, cls in ParadoxInstance(rank).classify_window(lo, hi)
+        ]
+        expected = json.dumps(rows, indent=2, sort_keys=True) + "\n"
+        argv = ("--format", "json", *flags, "--window", f"{lo}..{hi}")
+        code, out, _ = run(capsys, "classify", *argv)
+        assert code == 0 and out == expected
+        target = tmp_path / "rows.json"
+        assert run(capsys, "classify", *argv, "--out", str(target))[0] == 0
+        assert target.read_text() == expected
+    # classify_window lists its window before the first row (a separate
+    # cost); a walk that streams it leaves only the writer to measure.
+    def streamed(self, lo, hi):
+        s = self.special
+        return (
+            (n, letters, WordClass(*_classify_letters(letters, s)))
+            for n, letters in labeling._window_words(self.rank, lo, hi)
+        )
+
+    monkeypatch.setattr(ParadoxInstance, "classify_window", streamed)
+    peaks = []
+    for count in (1000, 10000):
+        tracemalloc.start()
+        try:
+            argv = ["classify", "--format", "json", "--window", f"0..{count - 1}"]
+            assert main(argv + ["--out", str(target)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # Ten times the rows (over 600 kB of JSON) may not raise the peak by
+    # 100 kB; the array dumped whole raised it by about 9 MB.  The margin is
+    # for the encoder's reference cycles, which wait for the collector.
+    assert target.stat().st_size > 600_000
+    assert peaks[1] < peaks[0] + 100_000
 
 
 def test_classify_omega(capsys):

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -31,6 +32,8 @@ from lineparadox.labeling import (
     label_from_position,
     position_from_label,
 )
+from lineparadox.paradox import ParadoxInstance
+from lineparadox.permutation import TreePermutation
 
 import oracle
 
@@ -285,6 +288,22 @@ def test_label_of_word_checks_rank():
         lab.label_of_word(Word((3,)))
 
 
+@pytest.mark.parametrize("rank", [2, OMEGA])
+@pytest.mark.parametrize(
+    "n", [2.5, float("inf"), float("nan"), Fraction(1, 2)], ids=["2.5", "inf", "nan", "1/2"]
+)
+def test_non_integer_labels_raise(rank, n):
+    # Labels are integers: an infinite float used to loop forever at finite
+    # rank, and 2.5 decoded to a word with a float letter.
+    lab = VertexLabeling(rank)
+    with pytest.raises(TypeError):
+        lab.word_of_label(n)
+    with pytest.raises(TypeError):
+        TreePermutation(Word((1,)), lab).apply(n)
+    with pytest.raises(TypeError):
+        ParadoxInstance(rank).classify_interval(n)
+
+
 def test_labeling_equality():
     assert VertexLabeling(2) == VertexLabeling(2)
     assert VertexLabeling(2) != VertexLabeling(3)
@@ -336,6 +355,12 @@ def test_ball_vertex_count_matches_enumeration():
     for k in (2, 3):
         for r in range(5):
             assert ball_vertex_count(k, r) == len(oracle.all_words(k, r))
+
+
+def test_ball_vertex_count_rejects_negative_radius():
+    for k, radius in ((2, -1), (3, -1), (2, -7)):
+        with pytest.raises(ValueError, match=f"radius must be nonnegative, got {radius}"):
+            ball_vertex_count(k, radius)
 
 
 def test_ball_radius_zero_and_one():

@@ -3,13 +3,12 @@ import random
 import pytest
 
 from lineparadox.freegroup import IDENTITY, OMEGA, Word, parse_word
-from lineparadox.labeling import VertexLabeling, _window_letters
+from lineparadox.labeling import VertexLabeling
 from lineparadox.permutation import (
     CycleError,
     CyclePermutation,
     LabelingMismatchError,
     TreePermutation,
-    _prefix_fixed,
     compose,
     fixed_points_in_window,
     parse_cycles,
@@ -210,12 +209,20 @@ def test_fixed_points_tree_actions_are_free(lab2):
         assert fixed_points_in_window(perm, -500, 500) == []
 
 
-def test_fixed_points_agree_with_apply(lab2, table2):
-    # the fused scan must match the honest definition on every window entry
-    for letters in oracle.all_words(2, 2):
-        perm = TreePermutation(Word(letters), lab2)
-        direct = [n for n in range(-60, 61) if table2.apply(letters, n) == n]
-        assert fixed_points_in_window(perm, -60, 60) == direct
+@pytest.mark.parametrize("rank, k, length, lo, hi", [
+    (2, 2, 2, -60, 60),
+    (2, 2, 4, -40, 40),
+    (3, 3, 3, -40, 40),
+    (OMEGA, 3, 2, -30, 30),  # pair limit 3
+])
+def test_fixed_points_agree_with_apply(rank, k, length, lo, hi):
+    # The word-level answer must match the honest definition on every window
+    # entry; the identity is included, so there are fixed points to find.
+    lab = VertexLabeling(rank)
+    for letters in oracle.all_words(k, length):
+        perm = TreePermutation(Word(letters), lab)
+        direct = [n for n in range(lo, hi + 1) if perm.apply(n) == n]
+        assert fixed_points_in_window(perm, lo, hi) == direct
 
 
 def test_fixed_points_cycle():
@@ -228,66 +235,3 @@ def test_fixed_points_cycle():
 def test_fixed_points_empty_window(lab2):
     assert fixed_points_in_window(parse_cycles("(0 1)"), 3, 1) == []
     assert fixed_points_in_window(TreePermutation(IDENTITY, lab2), 3, 1) == []
-
-
-# --- prefix-inversion fixed-point scan ---------------------------------------
-
-
-def _letterwise_fixed(u, window):
-    """The fixed-point test letter by letter: u * w re-reduces to w exactly
-    when the boundary cancellation swallows the second half of u and the
-    first half of u reproduces the prefix it replaced."""
-    L = len(u)
-    out = []
-    for idx, w in enumerate(window):
-        t = 0
-        lim = min(L, len(w))
-        while t < lim and u[L - 1 - t] == -w[t]:
-            t += 1
-        if 2 * t == L and u[:t] == w[:t]:
-            out.append(idx)
-    return out
-
-
-@pytest.mark.parametrize("rank, k, length, lo, hi", [
-    (2, 2, 4, -40, 40),
-    (3, 3, 3, -40, 40),
-    (OMEGA, 3, 2, -30, 30),  # pair limit 3
-])
-def test_prefix_fixed_matches_apply(rank, k, length, lo, hi):
-    # The identity is included so that the scan has fixed points to report.
-    words = oracle.all_words(k, length)
-    lab = VertexLabeling(rank)
-    window = _window_letters(rank, lo, hi)
-    expected = [
-        (u, n - lo)
-        for u in words
-        for n in range(lo, hi + 1)
-        if TreePermutation(Word(u), lab).apply(n) == n
-    ]
-    assert len(expected) == hi - lo + 1  # the identity's, and no others
-    rank_of = {u: r for r, u in enumerate(words)}.get
-    assert _prefix_fixed(window, length // 2, rank_of) == expected
-
-
-def test_prefix_fixed_unreduced_candidates_in_order():
-    # Unreduced tuples of the form p + inverse(p) do pass the letterwise
-    # test, so they drive the violation path: hits come in rank order, then
-    # in window order.
-    window = _window_letters(2, -40, 40)
-    candidates = [(2, -2), (1, -1), (1, 2, -2, -1), (-1, 1), (2, 1, -1, -2), (1, 2, -1, -2)]
-    rank_of = {u: r for r, u in enumerate(candidates)}.get
-    expected = [(u, i) for u in candidates for i in _letterwise_fixed(u, window)]
-    got = _prefix_fixed(window, 2, rank_of)
-    assert got == expected
-    assert {u for u, _ in got} == set(candidates[:5])  # (1, 2, -1, -2) fixes nothing
-    assert [i for u, i in got if u == (1, -1)] == [
-        i for i, w in enumerate(window) if w[:1] == (1,)
-    ]
-
-
-def test_prefix_fixed_respects_half():
-    window = _window_letters(2, -40, 40)
-    rank_of = {(1, 2, -2, -1): 0}.get
-    assert _prefix_fixed(window, 1, rank_of) == []
-    assert _prefix_fixed(window, 2, rank_of) != []

@@ -1,15 +1,15 @@
 """Property tests of the integer-level certificates and of rank-omega labels.
 
-The free-action certificate rests on a prefix criterion (u fixes w exactly
-when u = p + inverse(p) for a prefix p of w); the rigidity audit serves its
-evaluations from integer image tables; rank-omega labels are counted from
-tables of reduced-word counts and walked by a weight-bucket successor.  All
-are checked here on random inputs against ``tests/oracle.py``: cancellation
-by deleting inverse pairs, the action of words on labels through a
-brute-force label table, and reduced words counted by recursion.  The sweep
-judges one word per type key, which rests on every word of a key getting
-the same verdict; that and the tree action being a homomorphism are checked
-on random words too.
+The free-action certificate rests on the action being free (u fixes a label
+only when u is the identity); the rigidity audit serves its evaluations from
+integer image tables; rank-omega labels are counted from tables of
+reduced-word counts and walked by a weight-bucket successor.  The first is
+checked here on the tree action itself, the others on random inputs against
+``tests/oracle.py``: the action of words on labels through a brute-force
+label table, and reduced words counted by recursion.  The sweep judges one
+word per type key, which rests on every word of a key getting the same
+verdict; that and the tree action being a homomorphism are checked on
+random words too.
 """
 
 import functools
@@ -26,12 +26,13 @@ from lineparadox.labeling import (
     _position_omega,
 )
 from lineparadox.paradox import _classes, _type_key, _verdict
-from lineparadox.permutation import TreePermutation, _prefix_fixed
+from lineparadox.permutation import TreePermutation
 from lineparadox.rigid import PiecewiseRigidMap, _image_tables, compose_maps, floor_part
 
 import oracle
 
 LAB2 = VertexLabeling(2)
+LAB3 = VertexLabeling(3)
 
 
 def reduced_words(k, max_size):
@@ -39,23 +40,10 @@ def reduced_words(k, max_size):
     return st.lists(st.sampled_from(letters), max_size=max_size).map(oracle.oracle_reduce)
 
 
-def _fixes(u, w):
-    return _prefix_fixed([w], len(u) // 2, {u: 0}.get) == [(u, 0)]
-
-
 @given(u=reduced_words(3, 10), w=reduced_words(3, 10))
-def test_prefix_criterion_agrees_with_reduce_and_compare(u, w):
-    assert _fixes(u, w) == (oracle.oracle_reduce(u + w) == w)
-    assert _fixes(u, w) == (u == ())  # the action is free
-
-
-@given(w=reduced_words(3, 12), data=st.data())
-def test_prefix_products_fix_their_word(w, data):
-    # The unreduced words p + inverse(p) are the ones the criterion reports.
-    t = data.draw(st.integers(0, len(w)))
-    u = w[:t] + tuple(-a for a in reversed(w[:t]))
-    assert oracle.oracle_reduce(u + w) == w
-    assert _fixes(u, w)
+def test_tree_action_is_free(u, w):
+    n = LAB3.label_of_word(Word(w))
+    assert (TreePermutation(Word(u), LAB3).apply(n) == n) == (u == ())
 
 
 @functools.lru_cache(maxsize=None)

@@ -59,6 +59,11 @@ def test_line_strip_omega_names():
     svg = line_strip_svg(cells, OMEGA)
     assert ">B_1<" in svg
     assert ">A_3<" in svg
+    # By pair number, not by name: A_10 comes after B_2.
+    cells = [(0, None), (1, WordClass(10, PLUS)), (2, WordClass(2, MINUS)), (3, WordClass(2, PLUS))]
+    svg = line_strip_svg(cells, OMEGA)
+    names = [">A_2<", ">B_2<", ">A_10<", ">other<"]
+    assert sorted(names, key=svg.index) == names
 
 
 def test_cayley_dot_shape():
