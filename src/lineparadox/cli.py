@@ -34,7 +34,12 @@ from .freegroup import (
     iter_words,
     parse_word,
 )
-from .labeling import UnsupportedRankError, VertexLabeling, ball_vertex_count, label_from_position
+from .labeling import (
+    UnsupportedRankError,
+    VertexLabeling,
+    bounded_ball_vertex_count,
+    label_from_position,
+)
 from .paradox import BudgetExceededError, ParadoxInstance, verification_summary
 from .permutation import CycleError, TreePermutation, parse_cycles
 from .render import (
@@ -209,10 +214,15 @@ def _check_window(lo: int, hi: int) -> None:
 
 def _cmd_plot_cayley(args) -> int:
     if args.k != OMEGA:
-        # Counted in closed form, so an oversized ball builds no vertex.
-        _check_budget(
-            "Cayley ball", ball_vertex_count(args.k, args.radius), "vertices", MAX_BALL_VERTICES
-        )
+        # Counted in closed form, so an oversized ball builds no vertex, and
+        # a radius far past the limit is refused before its count is formed.
+        need = bounded_ball_vertex_count(args.k, args.radius, MAX_BALL_VERTICES)
+        if need is None:
+            raise BudgetExceededError(
+                f"the Cayley ball of radius {args.radius} needs more vertices "
+                f"than the limit of {MAX_BALL_VERTICES}"
+            )
+        _check_budget("Cayley ball", need, "vertices", MAX_BALL_VERTICES)
     ball = VertexLabeling(args.k).ball(args.radius)
     _emit(cayley_ball_dot(ball), args.out)
     return 0

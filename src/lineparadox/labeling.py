@@ -16,8 +16,9 @@ labeling holds nothing but its rank: ``word_of_label`` and ``label_of_word``
 compute every call afresh, so random access keeps no state between calls
 and its memory stays flat however many labels it visits.  Window sweeps walk
 the window's labels with :func:`_window_words`, which decodes one word and
-steps a successor through the rest.  Cayley balls walk the enumeration too,
-from the identity, and find each neighbour in a table local to the ball.
+steps a successor through the rest.  Cayley balls are built one sphere at
+a time from the identity: each new word a * w is linked to w both ways as
+it is made, so no label is encoded, decoded or looked up.
 """
 
 from __future__ import annotations
@@ -335,21 +336,40 @@ class VertexLabeling:
     def ball(self, radius: int) -> "CayleyBall":
         if self.rank == OMEGA:
             raise UnsupportedRankError("Cayley balls are only materialized for finite rank")
-        k = self.rank
-        # The ball is the first ball_vertex_count positions, walked once.  The
-        # neighbour a * w cancels w's first letter or prepends a, so its label
-        # is read from the ball's own table (None outside the ball), with no
-        # decode or encode.
-        words = islice(_words_from(k, ()), ball_vertex_count(k, radius))
-        label_of = {w: label_from_position(pos) for pos, w in enumerate(words)}
-        signed = ordered_letters(k)
-        entries = [
-            BallEntry(label, Word._from_reduced(w), {
-                a: label_of.get(w[1:] if w and w[0] == -a else (a,) + w) for a in signed
-            })
-            for w, label in label_of.items()
-        ]
-        return CayleyBall(rank=k, radius=radius, entries=tuple(entries))
+        if radius < 0:
+            raise ValueError(f"radius must be nonnegative, got {radius}")
+        signed = ordered_letters(self.rank)
+        # The ball is built one sphere at a time.  The words of length L + 1
+        # are a * w for each letter a in order and each word w of length L
+        # not starting with -a, in the (length, lex) order of w, which is
+        # the enumeration's own order, so a counter gives every position.
+        # Making a * w links it to w both ways: its -a neighbour is w, and
+        # w's a neighbour is a * w; every other neighbour is one letter
+        # longer, linked when its own sphere is built or None past the ball.
+        blank = dict.fromkeys(signed)
+        root = blank.copy()
+        entries = [BallEntry(0, Word._from_reduced(()), root)]
+        # The sphere's words, grouped by first letter (0 for the identity).
+        sphere = {0: [((), 0, root)]}
+        pos = 0
+        for _ in range(radius):
+            nxt = {}
+            for a in signed:
+                made = nxt[a] = []
+                for first, words in sphere.items():
+                    if first == -a:
+                        continue
+                    for w, label, neighbors in words:
+                        pos += 1
+                        child = (pos + 1) // 2 if pos % 2 else -(pos // 2)
+                        letters = (a,) + w
+                        around = blank.copy()
+                        around[-a] = label
+                        neighbors[a] = child
+                        made.append((letters, child, around))
+                        entries.append(BallEntry(child, Word._from_reduced(letters), around))
+            sphere = nxt
+        return CayleyBall(rank=self.rank, radius=radius, entries=tuple(entries))
 
 
 def ball_vertex_count(k: int, radius: int) -> int:
@@ -359,6 +379,20 @@ def ball_vertex_count(k: int, radius: int) -> int:
     if radius == 0:
         return 1
     return 1 + 2 * k * ((2 * k - 1) ** radius - 1) // (2 * k - 2)
+
+
+def bounded_ball_vertex_count(k: int, radius: int, limit: int) -> int | None:
+    """``ball_vertex_count(k, radius)``, or None when the radius alone shows
+    that the ball holds more than ``limit`` vertices.
+
+    With b the bit length of 2k - 1, (2k - 1)**radius is at least
+    2**(radius * b / 2), so a radius whose radius * b is over twice the bits
+    of ``limit`` (and over 512) needs more.  Its power, which could take
+    minutes to form and have more digits than Python prints, is never formed.
+    """
+    if radius * (2 * k - 1).bit_length() > 2 * max(limit.bit_length(), 256):
+        return None
+    return ball_vertex_count(k, radius)
 
 
 @dataclass(frozen=True)

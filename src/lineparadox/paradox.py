@@ -60,7 +60,7 @@ from .labeling import (
     _position_omega,
     _window_letters,
     _window_words,
-    ball_vertex_count,
+    bounded_ball_vertex_count,
 )
 from .permutation import TreePermutation
 from .rigid import PiecewiseRigidMap, as_rational, floor_part
@@ -387,7 +387,13 @@ class ParadoxInstance:
         if max_length < 1:
             raise ValueError(f"max_length must be >= 1, got {max_length}")
         k = self.rank if self.rank != OMEGA else self.pairs(pair_limit)[-1]
-        total = ball_vertex_count(k, max_length) - 1
+        # The nonempty words fit the budget when the ball fits one more.
+        count = bounded_ball_vertex_count(k, max_length, word_budget + 1)
+        if count is None:
+            raise BudgetExceededError(
+                f"the words of length <= {max_length} exceed the budget of {word_budget}"
+            )
+        total = count - 1
         if total > word_budget:
             raise BudgetExceededError(
                 f"{total} words of length <= {max_length} exceed the budget of {word_budget}"

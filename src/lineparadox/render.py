@@ -6,6 +6,8 @@ produce byte-identical output; floats never reach the emitters.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .freegroup import PLUS, WordClass
 from .labeling import CayleyBall
 from .rigid import Piece
@@ -139,10 +141,17 @@ def line_strip_svg(cells: list[tuple[int, WordClass | None]], rank) -> str:
 
 def cayley_ball_dot(ball: CayleyBall) -> str:
     """DOT digraph of a ball: integer-labeled nodes, generator-labeled edges."""
+    # Labels are distinct, so one sort by label puts the nodes in order, and
+    # each node's edges x1, x2, ... then come out in (tail, generator) order.
+    entries = sorted(ball.entries, key=attrgetter("label"))
     out = ["digraph cayley_ball {", "  node [shape=circle];"]
-    for label in sorted(e.label for e in ball.entries):
-        out.append(f'  "{label}";')
-    for tail, head, j in sorted(ball.edges(), key=lambda e: (e[0], e[2])):
-        out.append(f'  "{tail}" -> "{head}" [label="x{j}"];')
+    out += [f'  "{e.label}";' for e in entries]
+    gens = range(1, ball.rank + 1)
+    for e in entries:
+        neighbors = e.neighbors
+        for j in gens:
+            head = neighbors[j]
+            if head is not None:
+                out.append(f'  "{e.label}" -> "{head}" [label="x{j}"];')
     out.append("}")
     return "\n".join(out) + "\n"

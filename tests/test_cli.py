@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -398,6 +399,61 @@ def test_plot_cayley_refuses_oversized_ball(capsys, monkeypatch, k, radius):
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and "vertices" in err
+
+
+@pytest.mark.parametrize("size", ["10000", "100000000"])
+@pytest.mark.parametrize("argv, unit", [
+    (("plot-cayley", "--k", "2", "--radius"), "vertices"),
+    (("verify", "--k", "2", "--window", "-5..5", "--free-check"), "words"),
+])
+def test_huge_radius_refused_at_once(capsys, monkeypatch, argv, unit, size):
+    # The radius is compared with the budget before (2k-1)**radius is
+    # formed: that power would take minutes to form and has more digits
+    # than an int may print.
+    def no_ball(self, radius):
+        raise AssertionError("the ball must not be built")
+
+    def no_count(k, radius):
+        raise AssertionError("the full count must not be formed")
+
+    monkeypatch.setattr(VertexLabeling, "ball", no_ball)
+    monkeypatch.setattr(labeling, "ball_vertex_count", no_count)
+    code, out, err = run(capsys, *argv, size)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and unit in err and len(err) < 200
+
+
+def test_refusal_messages_name_exact_counts(capsys):
+    # Radii just past the limits still print the exact count they need.
+    cases = [
+        (("plot-cayley", "--k", "2", "--radius", "10"),
+         "the Cayley ball needs 118097 vertices, more than the limit of 100000"),
+        (("plot-cayley", "--k", "2", "--radius", "20"),
+         "the Cayley ball needs 6973568801 vertices, more than the limit of 100000"),
+        (("plot-cayley", "--k", "3", "--radius", "7"),
+         "the Cayley ball needs 117187 vertices, more than the limit of 100000"),
+        (("verify", "--window", "-8..8", "--free-check", "8", "--budget", "10"),
+         "13120 words of length <= 8 exceed the budget of 10"),
+    ]
+    for argv, message in cases:
+        assert run(capsys, *argv) == (3, "", f"error: {message}\n")
+
+
+# sha256 of the plot-cayley DOT text: however balls are built or emitted,
+# the bytes must stay these.
+DOT_DIGESTS = {
+    ("2", "7"): "3818ad2fce5c409cec876e0f675cc568e87c2b5b88815288733edaa3c56d7749",
+    ("3", "4"): "1da65297a59efdc1bbb4d8c7c70d8a617ae65a7a37a01bd0485f55705dd0bf1e",
+    ("4", "3"): "4654113c132c60c92d68f7f4bb3232d684faa566f761695afee1fd876cc759dc",
+}
+
+
+@pytest.mark.parametrize("k, radius", sorted(DOT_DIGESTS))
+def test_plot_cayley_dot_bytes_pinned(capsys, k, radius):
+    code, out, _ = run(capsys, "plot-cayley", "--k", k, "--radius", radius)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DOT_DIGESTS[k, radius]
 
 
 def test_plot_cayley_budget_boundary(capsys, monkeypatch):

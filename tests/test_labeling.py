@@ -29,6 +29,7 @@ from lineparadox.labeling import (
     _position_omega,
     _window_words,
     ball_vertex_count,
+    bounded_ball_vertex_count,
     label_from_position,
     position_from_label,
 )
@@ -361,6 +362,22 @@ def test_ball_vertex_count_rejects_negative_radius():
     for k, radius in ((2, -1), (3, -1), (2, -7)):
         with pytest.raises(ValueError, match=f"radius must be nonnegative, got {radius}"):
             ball_vertex_count(k, radius)
+
+
+def test_bounded_ball_vertex_count():
+    # Exact wherever it answers; None only for balls above the limit.
+    for k in (2, 3, 7):
+        for limit in (-1, 0, 10, 10**5, 10**200):
+            for radius in (0, 1, 2, 9, 20, 100, 300, 1000):
+                bounded = bounded_ball_vertex_count(k, radius, limit)
+                if bounded is None:
+                    assert ball_vertex_count(k, radius) > limit
+                else:
+                    assert bounded == ball_vertex_count(k, radius)
+    assert bounded_ball_vertex_count(2, 10**8, 10**6) is None
+    assert bounded_ball_vertex_count(2, 20, 10**5) == ball_vertex_count(2, 20)
+    with pytest.raises(ValueError):
+        bounded_ball_vertex_count(2, -1, 10)
 
 
 def test_ball_radius_zero_and_one():

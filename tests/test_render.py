@@ -1,5 +1,7 @@
+import random
+
 from lineparadox.freegroup import MINUS, OMEGA, PLUS, WordClass
-from lineparadox.labeling import VertexLabeling
+from lineparadox.labeling import CayleyBall, VertexLabeling
 from lineparadox.render import (
     OVERFLOW_COLOR,
     PALETTE,
@@ -78,3 +80,12 @@ def test_cayley_dot_shape():
     assert '  "0" -> "1" [label="x1"];' in edges
     assert '  "-1" -> "0" [label="x1"];' in edges
     assert len(edges) == 4
+
+
+def test_cayley_dot_orders_by_label_not_position():
+    ball = VertexLabeling(3).ball(3)
+    entries = list(ball.entries)
+    random.Random(7).shuffle(entries)
+    shuffled = CayleyBall(rank=ball.rank, radius=ball.radius, entries=tuple(entries))
+    assert shuffled.entries != ball.entries
+    assert cayley_ball_dot(shuffled) == cayley_ball_dot(ball)
