@@ -16,9 +16,12 @@ labeling holds nothing but its rank: ``word_of_label`` and ``label_of_word``
 compute every call afresh, so random access keeps no state between calls
 and its memory stays flat however many labels it visits.  Window sweeps walk
 the window's labels with :func:`_window_words`, which decodes one word and
-steps a successor through the rest.  Cayley balls are built one sphere at
-a time from the identity: each new word a * w is linked to w both ways as
-it is made, so no label is encoded, decoded or looked up.
+steps a successor through the rest.  At finite rank a window's labels can
+also be counted by the first letters of their words with no word decoded
+(:func:`_window_type_counts`): the words that share a length and their
+first two letters fill one run of consecutive positions.  Cayley balls are
+built one sphere at a time from the identity: each new word a * w is linked
+to w both ways as it is made, so no label is encoded, decoded or looked up.
 """
 
 from __future__ import annotations
@@ -111,6 +114,53 @@ def _letters_finite(k: int, pos: int) -> tuple[int, ...]:
             d += 1
         letters.append(_letter_from_rank(d))
     return tuple(letters)
+
+
+def _window_type_counts(k: int, lo: int, hi: int) -> dict[tuple[tuple[int, ...], bool], int]:
+    """The labels of [lo, hi] at finite rank k, counted by the type of their
+    words with no word decoded: ``{(first two letters, whether every letter
+    after the first is x_k): count}``, types with no label left out.
+
+    The words of length L >= 2 that start with a, c fill one run of
+    (2k-1)**(L-2) positions, and the runs follow each other in the order of
+    (a, c), one length after another, so a counter steps from run to run.
+    Only a * c**(L-1) can have every later letter x_k, when c is x_k, and it
+    ends its run: x_k is the last letter that may follow x_k.  Label n > 0
+    sits at position 2n - 1 and n < 0 at -2n, so the labels a run holds are
+    two interval intersections.
+    """
+    counts: dict[tuple[tuple[int, ...], bool], int] = {}
+    if lo > hi:
+        return counts
+
+    def add(key: tuple[tuple[int, ...], bool], p: int, q: int) -> None:
+        # The labels of the window at positions p..q, for p >= 1.
+        n = max(0, min(hi, (q + 1) // 2) - max(lo, (p + 2) // 2) + 1)
+        n += max(0, min(-lo, q // 2) - max(-hi, (p + 1) // 2) + 1)
+        if n:
+            counts[key] = counts.get(key, 0) + n
+
+    if lo <= 0 <= hi:
+        counts[((), True)] = 1
+    letters = ordered_letters(k)
+    for pos, a in enumerate(letters, 1):
+        add(((a,), True), pos, pos)
+    top = max(position_from_label(lo), position_from_label(hi))
+    pos = 2 * k + 1
+    size = 1
+    while pos <= top:
+        for a in letters:
+            for c in letters:
+                if c == -a:
+                    continue
+                end = pos + size - 1
+                if c == k:
+                    add(((a, c), True), end, end)
+                    end -= 1
+                add(((a, c), False), pos, end)
+                pos += size
+        size *= 2 * k - 1
+    return counts
 
 
 # --- rank OMEGA: counting over weight buckets -------------------------------

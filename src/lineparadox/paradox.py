@@ -20,12 +20,17 @@ the overflow test and the classifier read w[0] and whether w is a power of
 x_s.  The pull-back of w through pair j is w[1:] when w starts with x_j and
 x_j^-1 w otherwise; the minus-class predicate reads its first letter (w[1],
 or x_j^-1) and whether it is a power of x_s, which for w[1:] is the last
-entry of tau(w) and for x_j^-1 w is never so.  The sweep therefore walks the
-window once and tallies its labels by a key that fixes tau, judges one word
-per key and scales that verdict by the key's tally.  Only when some verdict
-finds a violation does it walk the window a second time, to list the failing
-labels.  Both walks decode one word and step a successor through the rest,
-so memory stays flat in the window size.
+entry of tau(w) and for x_j^-1 w is never so.  The third entry follows from
+the others (w is a power of x_s when w[1:] is one and w[0] is x_s or
+none), so the code writes tau(w) as (w[:2], all of w[1:] is x_s).
+
+The sweep therefore tallies the window's labels by tau, judges one word per
+type and scales that verdict by the type's tally.  At finite rank the
+tallies are counted from the positions of the words of each type, with no
+word decoded (``labeling._window_type_counts``); at rank OMEGA one walk
+counts them.  Only when some verdict finds a violation does the sweep walk
+the window, to list the failing labels.  A walk decodes one word and steps
+a successor through the rest, so memory stays flat in the window size.
 
 Pulled-back membership is computed on the word itself, classifying
 ``x_j^-1 * w_n`` directly.  That equals classifying the integer image of the
@@ -59,6 +64,7 @@ from .labeling import (
     _position_finite,
     _position_omega,
     _window_letters,
+    _window_type_counts,
     _window_words,
     bounded_ball_vertex_count,
 )
@@ -86,12 +92,20 @@ def _classes(pairs: range) -> list[WordClass]:
     return [WordClass(j, side) for j in pairs for side in (PLUS, MINUS)]
 
 
-def _type_key(letters: tuple[int, ...], s: int) -> tuple[tuple[int, ...], int]:
-    """A cheap key that fixes tau(letters): the first two letters and the
-    number of letters other than x_s.  That number is 0 exactly when every
-    letter is x_s, and 1 or 0 (by the first letter) exactly when every letter
-    after the first is."""
-    return letters[:2], len(letters) - letters.count(s)
+def _tau(letters: tuple[int, ...], s: int) -> tuple[tuple[int, ...], bool]:
+    """tau(letters): the first two letters and whether every later one is x_s."""
+    tail = letters[1:]
+    return letters[:2], tail.count(s) == len(tail)
+
+
+def _type_word(tau: tuple[tuple[int, ...], bool], s: int) -> tuple[int, ...]:
+    """The shortest word of type tau.  Only a word that starts with a, x_s
+    and has a later letter other than x_s needs a third letter: x_1, or x_2
+    when x_s is x_1."""
+    head, tail_power = tau
+    if len(head) < 2 or (head[1] == s) == tail_power:
+        return head
+    return head + (2 if s == 1 else 1,)
 
 
 #: The partition tally of words past the pair limit at rank OMEGA.
@@ -316,38 +330,46 @@ class ParadoxInstance:
 
         The partition is checked over the pairs in ``classes`` (not at all
         when it is empty) and the reassembly over the pairs in ``pulls``.
-        The first walk tallies the labels by ``_type_key``, keeping each
-        key's first word, and that word's ``_verdict`` scaled by the tally
-        gives the counts (the module docstring says why one word speaks for
-        its key).  A second walk lists violations only if some verdict has
-        one; labels arrive in the walker's order, so violations are sorted
-        by n at the end and the lists read as an ascending sweep would
-        emit them.
+        The labels are tallied by their type tau, counted from positions at
+        finite rank and by one walk at rank OMEGA, and the ``_verdict`` of
+        each type's shortest word scaled by the tally gives the counts (the
+        module docstring says why one word speaks for its type).  A walk
+        lists violations only if some verdict has one; labels arrive in the
+        walker's order, so violations are sorted by n at the end and the
+        lists read as an ascending sweep would emit them.
         """
         s = self.special
         checks = _classes(classes)
         top = classes[-1] if self.rank == OMEGA and checks else None
-        reps: dict[tuple, tuple[int, ...]] = {}
-        tallies = Counter(
-            reps.setdefault(_type_key(letters, s), letters)
-            for _, letters in _window_words(self.rank, lo, hi)
-        )
-        verdicts = {key: _verdict(rep, s, checks, top, pulls) for key, rep in reps.items()}
+        if self.rank == OMEGA:
+            # The walk counts each word by its head and its number of
+            # letters other than x_s, as cheap a key as a word has: every
+            # later letter is x_s when that number is 0, or is 1 and the
+            # first letter is not x_s.
+            walked = Counter(
+                (letters[:2], len(letters) - letters.count(s))
+                for _, letters in _window_words(self.rank, lo, hi)
+            )
+            tallies = Counter()
+            for (head, others), count in walked.items():
+                tallies[head, others == 0 or (others == 1 and head[0] != s)] += count
+        else:
+            tallies = _window_type_counts(self.rank, lo, hi)
+        verdicts = {t: _verdict(_type_word(t, s), s, checks, top, pulls) for t in tallies}
         tally = dict.fromkeys(checks, 0)
         tally[OVERFLOW] = 0
         covered = {j: 0 for j in pulls}
-        for key, rep in reps.items():
-            counted, _, pull_reasons = verdicts[key]
+        for t, (counted, _, pull_reasons) in verdicts.items():
             if counted is not None:
-                tally[counted] += tallies[rep]
+                tally[counted] += tallies[t]
             for j, pull_reason in zip(pulls, pull_reasons):
                 if pull_reason is None:
-                    covered[j] += tallies[rep]
+                    covered[j] += tallies[t]
         part_violations: list[tuple[int, str]] = []
         reas_violations: list[tuple[int, int, str]] = []
         if any(v[1] is not None or any(v[2]) for v in verdicts.values()):
             for n, letters in _window_words(self.rank, lo, hi):
-                _, reason, pull_reasons = verdicts[_type_key(letters, s)]
+                _, reason, pull_reasons = verdicts[_tau(letters, s)]
                 if reason is not None:
                     part_violations.append((n, reason))
                 for j, pull_reason in zip(pulls, pull_reasons):
@@ -363,6 +385,28 @@ class ParadoxInstance:
             PartitionReport((lo, hi), self.rank, counts, part_violations),
             ReassemblyReport((lo, hi), self.rank, pulls, covered, reas_violations),
         )
+
+    def _free_action_words(
+        self, max_length: int, word_budget: int, pair_limit: int | None
+    ) -> tuple[int, int]:
+        """The number of pairs the free action is certified over and the
+        number of nonempty words up to ``max_length``, refused past the
+        word budget."""
+        if max_length < 1:
+            raise ValueError(f"max_length must be >= 1, got {max_length}")
+        k = self.rank if self.rank != OMEGA else self.pairs(pair_limit)[-1]
+        # The nonempty words fit the budget when the ball fits one more.
+        count = bounded_ball_vertex_count(k, max_length, word_budget + 1)
+        if count is None:
+            raise BudgetExceededError(
+                f"the words of length <= {max_length} exceed the budget of {word_budget}"
+            )
+        total = count - 1
+        if total > word_budget:
+            raise BudgetExceededError(
+                f"{total} words of length <= {max_length} exceed the budget of {word_budget}"
+            )
+        return k, total
 
     def certify_free_action(
         self,
@@ -384,20 +428,7 @@ class ParadoxInstance:
         the i-th word must encode to position i; at rank OMEGA the positions
         go in a set.
         """
-        if max_length < 1:
-            raise ValueError(f"max_length must be >= 1, got {max_length}")
-        k = self.rank if self.rank != OMEGA else self.pairs(pair_limit)[-1]
-        # The nonempty words fit the budget when the ball fits one more.
-        count = bounded_ball_vertex_count(k, max_length, word_budget + 1)
-        if count is None:
-            raise BudgetExceededError(
-                f"the words of length <= {max_length} exceed the budget of {word_budget}"
-            )
-        total = count - 1
-        if total > word_budget:
-            raise BudgetExceededError(
-                f"{total} words of length <= {max_length} exceed the budget of {word_budget}"
-            )
+        k, total = self._free_action_words(max_length, word_budget, pair_limit)
         # The nonempty words up to max_length are the first total from x1 on.
         words = islice(_words_from(k, (1,)), total)
         if self.rank == OMEGA:
@@ -422,6 +453,9 @@ def verification_summary(
 ) -> dict:
     """The combined verification record serialized by the command line."""
     pairs = instance.pairs(pair_limit)
+    if free_check is not None:
+        # A free_check past the word budget is refused before the sweep.
+        instance._free_action_words(free_check, word_budget, pair_limit)
     part, reas = instance._sweep(lo, hi, pairs, tuple(pairs))
     violations: list[dict] = []
     for n, reason in part.violations:

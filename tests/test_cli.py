@@ -150,6 +150,35 @@ def test_verify_budget_exceeded(capsys):
     assert err.startswith("error:")
 
 
+def test_verify_finite_rank_pass_takes_no_walk(capsys, monkeypatch):
+    # The tallies come from positions, so a passing finite-rank verify never
+    # walks its window, even the widest one the budget admits.
+    def no_walk(*args):
+        raise AssertionError("a passing finite-rank verify must not walk the window")
+
+    monkeypatch.setattr(paradox, "_window_words", no_walk)
+    code, out, _ = run(capsys, "verify", "--k", "2", "--window", "-1000000..1000000")
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["pass"] is True and summary["violations"] == []
+    assert set(summary["counts"]) == set("ABCD")
+    assert sum(summary["counts"].values()) == 2_000_001
+    assert summary["coverage"] == {"1": 2_000_001, "2": 2_000_001}
+
+
+def test_verify_free_check_refused_before_sweep(capsys, monkeypatch):
+    # The word budget is checked before any label is counted, with the same
+    # message and exit code, and nothing on stdout.
+    def no_sweep(*args):
+        raise AssertionError("the sweep must not run before the free-check budget")
+
+    monkeypatch.setattr(ParadoxInstance, "_sweep", no_sweep)
+    argv = ("verify", "--k", "2", "--window", "-1000000..1000000", "--free-check", "100000000")
+    assert run(capsys, *argv) == (
+        3, "", "error: the words of length <= 100000000 exceed the budget of 1000000\n"
+    )
+
+
 def test_verify_deterministic(capsys):
     _, first, _ = run(capsys, "verify", "--window", "-20..20", "--free-check", "2")
     _, second, _ = run(capsys, "verify", "--window", "-20..20", "--free-check", "2")

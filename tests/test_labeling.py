@@ -1,5 +1,7 @@
 import gc
+import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 
@@ -27,6 +29,7 @@ from lineparadox.labeling import (
     _letters_finite,
     _letters_omega,
     _position_omega,
+    _window_type_counts,
     _window_words,
     ball_vertex_count,
     bounded_ball_vertex_count,
@@ -185,6 +188,67 @@ def test_window_walk_visits_each_label_once(table2, lo, hi):
     for n, letters in seen:
         expected = table2.word_of[n] if n in table2.word_of else lab.word_of_label(n).letters
         assert letters == expected
+
+
+def _walked_type_counts(k, lo, hi):
+    """The window's labels counted by (first two letters, every later letter
+    is x_k) over the walk: the reference for the run tally."""
+    return dict(Counter(
+        (letters[:2], all(a == k for a in letters[1:])) for _, letters in _window_words(k, lo, hi)
+    ))
+
+
+def _run_boundary_labels(k, max_length):
+    """Labels at the first and last position of every (a, c) run up to
+    ``max_length`` letters, and at the positions next to them."""
+    base = 2 * k - 1
+    ends = {0, 1, 2 * k, 2 * k + 1}
+    start, size = 2 * k + 1, 1
+    for _ in range(2, max_length + 1):
+        for _ in range(2 * k * base):
+            ends.update((start, start + size - 1))
+            start += size
+        size *= base
+    return sorted({label_from_position(p + d) for p in ends for d in (-1, 0, 1) if p + d >= 0})
+
+
+_TYPE_COUNT_WINDOWS = [
+    (-300, 300), (-5, 400), (-400, 5), (1, 500), (37, 1000), (-1000, -37), (-500, -1),
+    (10**8, 10**8 + 300), (-(10**8) - 300, -(10**8)), (0, 0), (1, 1), (-1, -1), (7, 7),
+    (-4, -4), (5, 3), (0, -1), (-1, 0), (0, 1),
+]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_run_tally_equals_walked_type_counts(k):
+    # The walk is the authority: fixed windows above, below and across 0,
+    # single labels, empty windows, windows with ends on run and length
+    # boundaries, and random windows.
+    windows = list(_TYPE_COUNT_WINDOWS)
+    ends = _run_boundary_labels(k, 4 if k < 4 else 3)
+    windows += [(n, n) for n in ends]
+    windows += list(zip(ends, ends[1:])) + list(zip(ends, ends[2:]))
+    # Wide windows from every few ends keep the walks short.
+    wide = ends[:: max(1, len(ends) // 40)]
+    windows += [(-abs(n), abs(n)) for n in wide] + [(min(n, 0), max(n, 0)) for n in wide]
+    rng = random.Random(4000 + k)
+    for _ in range(75):
+        reach = rng.choice([10, 100, 3000])
+        lo = rng.randint(-reach, reach)
+        windows.append((lo, lo + rng.randint(-2, reach)))
+    for lo, hi in windows:
+        assert _window_type_counts(k, lo, hi) == _walked_type_counts(k, lo, hi), (lo, hi)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_run_tally_sums_to_far_window(k):
+    # No walk reaches this window: the tally must cover it exactly, and the
+    # halves below and above 0 must add up to the whole.
+    lo, hi = -(10**60), 10**60
+    whole = _window_type_counts(k, lo, hi)
+    assert sum(whole.values()) == hi - lo + 1
+    below, above = _window_type_counts(k, lo, 0), _window_type_counts(k, 1, hi)
+    assert whole == {t: below.get(t, 0) + above.get(t, 0) for t in below.keys() | above.keys()}
 
 
 # --- rank omega counting and walking -----------------------------------------

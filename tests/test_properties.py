@@ -7,9 +7,9 @@ reduced-word counts and walked by a weight-bucket successor.  The first is
 checked here on the tree action itself, the others on random inputs against
 ``tests/oracle.py``: the action of words on labels through a brute-force
 label table, and reduced words counted by recursion.  The sweep judges one
-word per type key, which rests on every word of a key getting the same
-verdict; that and the tree action being a homomorphism are checked on
-random words too.
+word per type tau, which rests on every word of a type getting the same
+verdict as the type's shortest word; that and the tree action being a
+homomorphism are checked on random words too.
 """
 
 import functools
@@ -25,7 +25,7 @@ from lineparadox.labeling import (
     _letters_omega,
     _position_omega,
 )
-from lineparadox.paradox import _classes, _type_key, _verdict
+from lineparadox.paradox import _classes, _tau, _type_word, _verdict
 from lineparadox.permutation import TreePermutation
 from lineparadox.rigid import PiecewiseRigidMap, _image_tables, compose_maps, floor_part
 
@@ -94,10 +94,10 @@ def test_continuation_count_equals_recursive_count(r, s, p):
 
 @st.composite
 def same_key_words(draw, k, max_tail=6):
-    """Two reduced words over k pairs with the same type key, and the special
-    index s the key is taken at (k for rank k, 1 for rank omega with pair
+    """Two reduced words over k pairs with the same type tau, and the special
+    index s the type is taken at (k for rank k, 1 for rank omega with pair
     limit k): the same first two letters and the same number of letters
-    other than x_s."""
+    other than x_s, which fix tau."""
     s = k if draw(st.booleans()) else 1
     others = [a for j in range(1, k + 1) for a in (j, -j) if a != s]
     word = draw(reduced_words(k, 2))
@@ -121,15 +121,19 @@ def same_key_words(draw, k, max_tail=6):
 
 @settings(max_examples=300)
 @given(k=st.integers(2, 4), words=st.data())
-def test_verdict_depends_only_on_type_key(k, words):
+def test_verdict_depends_only_on_tau(k, words):
     s, u, w = words.draw(same_key_words(k))
-    assert _type_key(u, s) == _type_key(w, s)
+    tau = _tau(u, s)
+    assert _tau(w, s) == tau
+    rep = _type_word(tau, s)
+    assert _tau(rep, s) == tau
     # s == k is rank k; s == 1 is rank omega, with a pair limit that may
     # leave some letters of the words past it.
     top = None if s == k else words.draw(st.integers(1, k))
     pairs = tuple(range(1, (top or k) + 1))
     checks = _classes(pairs)
-    assert _verdict(u, s, checks, top, pairs) == _verdict(w, s, checks, top, pairs)
+    verdict = _verdict(rep, s, checks, top, pairs)
+    assert _verdict(u, s, checks, top, pairs) == verdict == _verdict(w, s, checks, top, pairs)
 
 
 @given(
