@@ -9,17 +9,20 @@ Vertices are reduced words.  The canonical enumeration from
 then turns positions into labels covering all of the integers.  Both
 directions are computed in closed form: for finite rank by counting shorter
 words and lexicographic offsets in base 2k-1, for rank OMEGA from tables of
-the number of reduced words of each length and weight, grown up to
-:data:`MAX_OMEGA_WEIGHT`; the univariate growth series gives the weight of a
-position before they grow, so heavier positions are refused at once.  A
-labeling holds nothing but its rank: ``word_of_label`` and ``label_of_word``
-compute every call afresh, so random access keeps no state between calls
-and its memory stays flat however many labels it visits.  Window sweeps walk
-the window's labels with :func:`_window_words`, which decodes one word and
-steps a successor through the rest.  At finite rank a window's labels can
-also be counted by the first letters of their words with no word decoded
-(:func:`_window_type_counts`): the words that share a length and their
-first two letters fill one run of consecutive positions.  Cayley balls are
+the number of reduced words of each length and index sum, kept one column
+per length and grown only as far as a request reads them, up to
+:data:`MAX_OMEGA_WEIGHT`.  The univariate growth series places the weight
+buckets and gives the weight of a position before any column grows, so
+heavier positions are refused at once.  A labeling holds nothing but its
+rank: ``word_of_label`` and ``label_of_word`` compute every call afresh, so
+random access keeps no state between calls and its memory stays flat
+however many labels it visits.  Window sweeps walk the window's labels with
+:func:`_window_words`, which decodes one word and steps a successor through
+the rest.  A window's labels can also be counted by the first letters of
+their words with no word decoded: the words that share a length and their
+first two letters, and at rank OMEGA also a weight, fill one run of
+consecutive positions (:func:`_window_type_counts`,
+:func:`_omega_type_counts`).  Cayley balls are
 built one sphere at a time from the identity: each new word a * w is linked
 to w both ways as it is made, so no label is encoded, decoded or looked up.
 """
@@ -116,6 +119,14 @@ def _letters_finite(k: int, pos: int) -> tuple[int, ...]:
     return tuple(letters)
 
 
+def _labels_at(lo: int, hi: int, p: int, q: int) -> int:
+    """The number of labels of [lo, hi] at the positions p..q, for p >= 1.
+    Label n > 0 sits at position 2n - 1 and n < 0 at -2n, so the count is
+    two interval intersections."""
+    n = max(0, min(hi, (q + 1) // 2) - max(lo, (p + 2) // 2) + 1)
+    return n + max(0, min(-lo, q // 2) - max(-hi, (p + 1) // 2) + 1)
+
+
 def _window_type_counts(k: int, lo: int, hi: int) -> dict[tuple[tuple[int, ...], bool], int]:
     """The labels of [lo, hi] at finite rank k, counted by the type of their
     words with no word decoded: ``{(first two letters, whether every letter
@@ -125,18 +136,14 @@ def _window_type_counts(k: int, lo: int, hi: int) -> dict[tuple[tuple[int, ...],
     (2k-1)**(L-2) positions, and the runs follow each other in the order of
     (a, c), one length after another, so a counter steps from run to run.
     Only a * c**(L-1) can have every later letter x_k, when c is x_k, and it
-    ends its run: x_k is the last letter that may follow x_k.  Label n > 0
-    sits at position 2n - 1 and n < 0 at -2n, so the labels a run holds are
-    two interval intersections.
+    ends its run: x_k is the last letter that may follow x_k.
     """
     counts: dict[tuple[tuple[int, ...], bool], int] = {}
     if lo > hi:
         return counts
 
     def add(key: tuple[tuple[int, ...], bool], p: int, q: int) -> None:
-        # The labels of the window at positions p..q, for p >= 1.
-        n = max(0, min(hi, (q + 1) // 2) - max(lo, (p + 2) // 2) + 1)
-        n += max(0, min(-lo, q // 2) - max(-hi, (p + 1) // 2) + 1)
+        n = _labels_at(lo, hi, p, q)
         if n:
             counts[key] = counts.get(key, 0) + n
 
@@ -174,14 +181,48 @@ def _window_type_counts(k: int, lo: int, hi: int) -> dict[tuple[tuple[int, ...],
 # and N(r, s) = 2 * sum over i of T(r - 1, s - i, i).
 
 #: Heaviest rank-OMEGA word the count tables are grown for; encoding or
-#: decoding anything heavier raises BudgetExceededError.  The tables cost
-#: about weight**3 steps to fill.
+#: decoding anything heavier raises BudgetExceededError.  Filling every
+#: column through weight w takes about w**3.5 steps, but a word of L letters
+#: reads only the columns of at most L letters.
 MAX_OMEGA_WEIGHT = 256
 
-#: _counts[w][r] = N(r, w - r) for r <= w // 2, grown one weight at a time.
-_counts: list[list[int]] = [[1]]
-#: _starts[w]: the position of the first word of weight w.
+#: _cols[r][s] = N(r, s): the column of r-letter words, zero below s = r and
+#: grown only as far as an encode or decode has read it.
+_cols: list[list[int]] = [[1]]
+#: _starts[w]: the position of the first word of weight w, read off the
+#: growth series (:func:`_series_starts`).
 _starts: list[int] = [0, 1]
+
+
+def _check_weight(weight: int) -> None:
+    if weight > MAX_OMEGA_WEIGHT:
+        raise BudgetExceededError(
+            f"rank omega weight {weight} exceeds the weight limit of {MAX_OMEGA_WEIGHT}"
+        )
+
+
+def _column(r: int, top: int) -> list[int]:
+    """Column r of the count tables, grown through index sum ``top``.
+
+    Unrolling T into N gives, with j >= 0 and i >= 1,
+
+        N(r, t) = 2 * sum over j of (-1)**j * sum over i of
+                  N(r - 1 - j, t - (j + 1) * i),
+
+    and the sum over i is one strided slice of column r - 1 - j.  It reads
+    column c no further than top - r + c, so a caller grows the columns of
+    one weight w in order of length, column c through w - c.
+    """
+    if r == len(_cols):
+        _cols.append([0] * r)
+    col = _cols[r]
+    for t in range(len(col), top + 1):
+        total = 0
+        for j in range(r):
+            part = sum(_cols[r - 1 - j][t - j - 1 :: -j - 1])
+            total += -part if j % 2 else part
+        col.append(2 * total)
+    return col
 
 
 def _continuations(r: int, s: int, p: int) -> int:
@@ -189,32 +230,20 @@ def _continuations(r: int, s: int, p: int) -> int:
     total = 0
     sign = 1
     while s >= r >= 0:  # once s < r every later term is 0 too
-        total += sign * _counts[r + s][r]
+        total += sign * _cols[r][s]
         r, s, sign = r - 1, s - p, -sign
     return total
-
-
-def _grow_tables(weight: int) -> None:
-    """Fill the count tables through ``weight``; the one place they grow."""
-    if weight > MAX_OMEGA_WEIGHT:
-        raise BudgetExceededError(
-            f"rank omega weight {weight} exceeds the weight limit of {MAX_OMEGA_WEIGHT}"
-        )
-    while len(_counts) <= weight:
-        w = len(_counts)
-        row = [0] + [
-            2 * sum(_continuations(r - 1, w - r - i, i) for i in range(1, w - 2 * r + 2))
-            for r in range(1, w // 2 + 1)
-        ]
-        _counts.append(row)
-        _starts.append(_starts[-1] + sum(row))
 
 
 def _position_omega(letters: tuple[int, ...]) -> int:
     length = len(letters)
     weight = word_weight(letters)
-    _grow_tables(weight)
-    pos = _starts[weight] + sum(_counts[weight][1:length])
+    _check_weight(weight)
+    if len(_starts) <= weight + 1:
+        _starts[:] = islice(_series_starts(), weight + 2)
+    # The shorter words of the bucket come first.  Column 0 adds nothing
+    # but grows first, since column 1 reads it.
+    pos = _starts[weight] + sum(_column(r, weight - r)[weight - r] for r in range(length))
     srem = weight - length
     prev = 0
     for t, a in enumerate(letters):
@@ -241,8 +270,8 @@ def _series_starts() -> Iterator[int]:
 
     so the number f[w] of words of weight w is the sum over t of
     g[t] * f[w - t], where g[t] = 2 * sum over the divisors d >= 2 of t of
-    (-1)**(t/d - 1).  Term w costs O(w) integer steps, where a table row
-    costs about w**3.
+    (-1)**(t/d - 1).  Term w costs O(w) integer steps, where the count
+    columns of weight w cost about w**2.5.
     """
     f = [1]
     g = [0]
@@ -255,22 +284,31 @@ def _series_starts() -> Iterator[int]:
         f.append(sum(g[t] * f[w - t] for t in range(2, w + 1)))
 
 
+def _starts_past(pos: int) -> None:
+    """Extend ``_starts`` past ``pos`` from the series alone, so a position
+    past the weight limit is refused before any column grows."""
+    if _starts[-1] > pos:
+        return
+    starts = []
+    for start in islice(_series_starts(), MAX_OMEGA_WEIGHT + 2):
+        starts.append(start)
+        if start > pos:
+            _starts[:] = starts
+            return
+    # Every word of weight up to the limit comes before pos.
+    _check_weight(MAX_OMEGA_WEIGHT + 1)
+
+
 def _letters_omega(pos: int) -> tuple[int, ...]:
-    if _starts[-1] <= pos:
-        # The tables must grow.  The series finds the weight of pos first,
-        # so a position past the weight limit is refused before any grows.
-        starts = _series_starts()
-        next(starts)
-        weight = 0
-        while weight <= MAX_OMEGA_WEIGHT and next(starts) <= pos:
-            weight += 1
-        _grow_tables(weight)
+    _starts_past(pos)
     weight = bisect_right(_starts, pos) - 1
     r = pos - _starts[weight]
-    row = _counts[weight]
     length = 0
-    while r >= row[length]:
-        r -= row[length]
+    while True:
+        count = _column(length, weight - length)[weight - length]
+        if r < count:
+            break
+        r -= count
         length += 1
     letters: list[int] = []
     srem = weight - length
@@ -299,6 +337,68 @@ def _letters_omega(pos: int) -> tuple[int, ...]:
         prev = a
         srem -= i
     return tuple(letters)
+
+
+def _omega_type_counts(lo: int, hi: int) -> dict[tuple[tuple[int, ...], bool], int]:
+    """The labels of [lo, hi] at rank OMEGA counted by the type of their
+    words, as :func:`_window_type_counts` counts them at finite rank:
+    ``{(first two letters, whether every letter after the first is x_1):
+    count}``.
+
+    The positions run through the weight buckets, each bucket through its
+    lengths, each length through its first letters a and each first letter
+    through its second letters c, in the order of the letters.  The words
+    of weight w and length L that start with a, c fill one run of
+    T(L - 2, srem, |c|) positions, where srem = w - L - |a| - |c| is the
+    index sum left for the other L - 2 letters.  Only a * x_1**(L-1) has
+    every later letter x_1, and when c is x_1 and srem is L - 2 it is the
+    whole run.  A bucket, length or first letter that holds no label of the
+    window is stepped over by its size, so only the count columns the
+    window's heaviest word needs grow.
+    """
+    counts: dict[tuple[tuple[int, ...], bool], int] = {}
+    if lo > hi:
+        return counts
+
+    def add(key: tuple[tuple[int, ...], bool], n: int) -> None:
+        if n:
+            counts[key] = counts.get(key, 0) + n
+
+    if lo <= 0 <= hi:
+        counts[((), True)] = 1
+    top = max(position_from_label(lo), position_from_label(hi))
+    _starts_past(top)
+    for weight in range(2, bisect_right(_starts, top)):
+        pos = _starts[weight]
+        if not _labels_at(lo, hi, pos, _starts[weight + 1] - 1):
+            continue
+        for length in range(weight // 2 + 1):
+            if pos > top:
+                return counts
+            size = _column(length, weight - length)[weight - length]
+            if not _labels_at(lo, hi, pos, pos + size - 1):
+                pos += size
+                continue
+            for i in range(1, weight - 2 * length + 2):
+                rest = weight - length - i
+                block = _continuations(length - 1, rest, i)
+                for a in (i, -i):
+                    n = _labels_at(lo, hi, pos, pos + block - 1)
+                    if length == 1:
+                        add(((a,), True), n)
+                    elif n:
+                        p = pos
+                        for j in range(1, rest - length + 3):
+                            srem = rest - j
+                            run = _continuations(length - 2, srem, j)
+                            for c in (j, -j):
+                                if c != -a:
+                                    # A block the window covers whole needs no intersections.
+                                    hit = run if n == block else _labels_at(lo, hi, p, p + run - 1)
+                                    add(((a, c), c == 1 and srem == length - 2), hit)
+                                    p += run
+                    pos += block
+    return counts
 
 
 # --- window sweeps: one decode, then successor steps -----------------------

@@ -25,12 +25,13 @@ the others (w is a power of x_s when w[1:] is one and w[0] is x_s or
 none), so the code writes tau(w) as (w[:2], all of w[1:] is x_s).
 
 The sweep therefore tallies the window's labels by tau, judges one word per
-type and scales that verdict by the type's tally.  At finite rank the
-tallies are counted from the positions of the words of each type, with no
-word decoded (``labeling._window_type_counts``); at rank OMEGA one walk
-counts them.  Only when some verdict finds a violation does the sweep walk
-the window, to list the failing labels.  A walk decodes one word and steps
-a successor through the rest, so memory stays flat in the window size.
+type and scales that verdict by the type's tally.  The tallies are counted
+from the positions of the words of each type, with no word decoded
+(``labeling._window_type_counts`` at finite rank,
+``labeling._omega_type_counts`` at rank OMEGA).  Only when some verdict
+finds a violation does the sweep walk the window, to list the failing
+labels.  A walk decodes one word and steps a successor through the rest, so
+memory stays flat in the window size.
 
 Pulled-back membership is computed on the word itself, classifying
 ``x_j^-1 * w_n`` directly.  That equals classifying the integer image of the
@@ -41,7 +42,6 @@ astronomically large integer labels of heavy words.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Iterator
@@ -61,6 +61,7 @@ from .freegroup import (
 from .labeling import (
     BudgetExceededError,
     VertexLabeling,
+    _omega_type_counts,
     _position_finite,
     _position_omega,
     _window_letters,
@@ -330,8 +331,8 @@ class ParadoxInstance:
 
         The partition is checked over the pairs in ``classes`` (not at all
         when it is empty) and the reassembly over the pairs in ``pulls``.
-        The labels are tallied by their type tau, counted from positions at
-        finite rank and by one walk at rank OMEGA, and the ``_verdict`` of
+        The labels are tallied by their type tau, counted from the runs of
+        positions each type fills at either rank, and the ``_verdict`` of
         each type's shortest word scaled by the tally gives the counts (the
         module docstring says why one word speaks for its type).  A walk
         lists violations only if some verdict has one; labels arrive in the
@@ -342,17 +343,7 @@ class ParadoxInstance:
         checks = _classes(classes)
         top = classes[-1] if self.rank == OMEGA and checks else None
         if self.rank == OMEGA:
-            # The walk counts each word by its head and its number of
-            # letters other than x_s, as cheap a key as a word has: every
-            # later letter is x_s when that number is 0, or is 1 and the
-            # first letter is not x_s.
-            walked = Counter(
-                (letters[:2], len(letters) - letters.count(s))
-                for _, letters in _window_words(self.rank, lo, hi)
-            )
-            tallies = Counter()
-            for (head, others), count in walked.items():
-                tallies[head, others == 0 or (others == 1 and head[0] != s)] += count
+            tallies = _omega_type_counts(lo, hi)
         else:
             tallies = _window_type_counts(self.rank, lo, hi)
         verdicts = {t: _verdict(_type_word(t, s), s, checks, top, pulls) for t in tallies}

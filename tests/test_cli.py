@@ -166,6 +166,24 @@ def test_verify_finite_rank_pass_takes_no_walk(capsys, monkeypatch):
     assert summary["coverage"] == {"1": 2_000_001, "2": 2_000_001}
 
 
+def test_verify_omega_pass_takes_no_walk(capsys, monkeypatch):
+    # At rank omega the tallies come from bucket runs, so a passing verify
+    # walks no window either, near 0 or far from it.
+    def no_walk(*args):
+        raise AssertionError("a passing rank-omega verify must not walk the window")
+
+    monkeypatch.setattr(paradox, "_window_words", no_walk)
+    names = ParadoxInstance(OMEGA).class_names(10)
+    for lo, hi in [(-1_000_000, 1_000_000), (-(10**40) - 199, -(10**40))]:
+        code, out, _ = run(capsys, "verify", "--k", "omega", "--window", f"{lo}..{hi}")
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["pass"] is True and summary["violations"] == []
+        assert sorted(summary["counts"]) == sorted(names)
+        assert sum(summary["counts"].values()) == hi - lo + 1
+        assert summary["coverage"] == {str(j): hi - lo + 1 for j in range(1, 11)}
+
+
 def test_verify_free_check_refused_before_sweep(capsys, monkeypatch):
     # The word budget is checked before any label is counted, with the same
     # message and exit code, and nothing on stdout.
@@ -404,11 +422,13 @@ def test_verify_csv_to_file(capsys, tmp_path):
 
 
 def test_omega_weight_budget(capsys, monkeypatch):
+    grown = [len(col) for col in labeling._cols]
     code, out, err = run(capsys, "plot-fn", "--k", "omega", "--word", "x1500", "--window", "0..1")
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and "weight 1501" in err
-    monkeypatch.setattr(labeling, "_counts", [[1]])
+    assert [len(col) for col in labeling._cols] == grown
+    monkeypatch.setattr(labeling, "_cols", [[1]])
     monkeypatch.setattr(labeling, "_starts", [0, 1])
     monkeypatch.setattr(labeling, "MAX_OMEGA_WEIGHT", 30)
     code, out, err = run(capsys, "connect", "--k", "omega", str(2**300), "5")
@@ -678,12 +698,12 @@ def test_enumerate_streams_rows(capsys, tmp_path):
 
 
 def test_omega_position_past_limit_refused_before_tables_grow(capsys):
-    grown = len(labeling._counts)
+    grown = [len(col) for col in labeling._cols]
     code, out, err = run(capsys, "connect", "--k", "omega", str(2**255), "5")
     assert code == 3
     assert out == ""
     assert "weight 257" in err
-    assert len(labeling._counts) == grown
+    assert [len(col) for col in labeling._cols] == grown
 
 
 def test_python_dash_m_runs_the_cli():

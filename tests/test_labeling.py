@@ -18,6 +18,7 @@ from lineparadox.freegroup import (
     multiply,
     ordered_letters,
     parse_word,
+    word_weight,
 )
 from lineparadox.labeling import (
     BallEntry,
@@ -28,6 +29,7 @@ from lineparadox.labeling import (
     _continuations,
     _letters_finite,
     _letters_omega,
+    _omega_type_counts,
     _position_omega,
     _window_type_counts,
     _window_words,
@@ -190,11 +192,13 @@ def test_window_walk_visits_each_label_once(table2, lo, hi):
         assert letters == expected
 
 
-def _walked_type_counts(k, lo, hi):
+def _walked_type_counts(rank, lo, hi):
     """The window's labels counted by (first two letters, every later letter
-    is x_k) over the walk: the reference for the run tally."""
+    is x_s) over the walk, with s = k at rank k and 1 at rank omega: the
+    reference for the run tallies."""
+    s = 1 if rank == OMEGA else rank
     return dict(Counter(
-        (letters[:2], all(a == k for a in letters[1:])) for _, letters in _window_words(k, lo, hi)
+        (letters[:2], all(a == s for a in letters[1:])) for _, letters in _window_words(rank, lo, hi)
     ))
 
 
@@ -251,14 +255,66 @@ def test_run_tally_sums_to_far_window(k):
     assert whole == {t: below.get(t, 0) + above.get(t, 0) for t in below.keys() | above.keys()}
 
 
+def _omega_run_boundary_labels(max_weight):
+    """Labels at the first and last position of every run of words sharing
+    weight, length and first two letters, through ``max_weight``, and at the
+    positions next to them; the runs are read off the walk."""
+    end = next(islice(labeling._series_starts(), max_weight + 1, None))
+    keys = [(word_weight(w), len(w), w[:2]) for w in islice(_omega_words_from(()), end)]
+    starts = [p for p in range(1, end) if keys[p] != keys[p - 1]] + [end]
+    ends = {p + d for p in starts for d in (-2, -1, 0, 1)}
+    return sorted({label_from_position(p) for p in ends if p >= 0})
+
+
+def test_omega_run_tally_equals_walked_type_counts():
+    # The walk is the authority: windows whose ends sit at and next to every
+    # bucket, length and (a, c) run end through weight 12, single labels,
+    # empty windows, far windows and random windows.
+    windows = list(_TYPE_COUNT_WINDOWS)
+    ends = _omega_run_boundary_labels(12)
+    windows += [(n, n) for n in ends]
+    windows += list(zip(ends, ends[1:])) + list(zip(ends, ends[2:]))
+    wide = ends[:: max(1, len(ends) // 40)]
+    windows += [(-abs(n), abs(n)) for n in wide] + [(min(n, 0), max(n, 0)) for n in wide]
+    windows += [(10**12, 10**12 + 199), (-(10**12) - 199, -(10**12)), (-(10**40) - 199, -(10**40))]
+    windows += [(10**40 - 3, 10**40 + 3), (-(10**40), -(10**40) + 1)]
+    rng = random.Random(4100)
+    for _ in range(50):
+        reach = rng.choice([10, 100, 3000, 10**9])
+        lo = rng.randint(-reach, reach)
+        windows.append((lo, lo + rng.randint(-2, 3000)))
+    for lo, hi in windows:
+        assert _omega_type_counts(lo, hi) == _walked_type_counts(OMEGA, lo, hi), (lo, hi)
+
+
+def test_omega_run_tally_refuses_past_weight_limit_before_growth():
+    # The heaviest position of the window is weighed first: a window that
+    # reaches past the last word of the weight limit is refused whole, with
+    # no column grown, even when its lowest labels are within the limit.
+    first = next(islice(labeling._series_starts(), labeling.MAX_OMEGA_WEIGHT + 1, None))
+    n = (first + 1) // 2 + 1  # label n sits at position 2n - 1 >= first
+    grown = [len(col) for col in labeling._cols]
+    for lo, hi in [(2**255, 2**255), (n - 3, n), (-n, -n + 3)]:
+        with pytest.raises(BudgetExceededError, match=f"weight {labeling.MAX_OMEGA_WEIGHT + 1}"):
+            _omega_type_counts(lo, hi)
+    assert [len(col) for col in labeling._cols] == grown
+
+
 # --- rank omega counting and walking -----------------------------------------
 
 
+def _grow_columns(weight):
+    """Every count column through ``weight``, grown the way a decode grows
+    them: in order of length, column r through index sum weight - r."""
+    for r in range(weight + 1):
+        labeling._column(r, weight - r)
+
+
 def test_count_tables_match_recursive_count():
-    labeling._grow_tables(40)
+    _grow_columns(40)
     for r in range(41):
         for s in range(41 - r):
-            count = labeling._counts[r + s][r] if s >= r else 0
+            count = labeling._cols[r][s]
             assert count == oracle.tail_count(r, s, 0), (r, s)
             for prev in range(1, s + 2):
                 assert _continuations(r, s, prev) == oracle.tail_count(r, s, prev), (r, s, prev)
@@ -272,12 +328,11 @@ def test_omega_successor_matches_oracle_order():
 def test_omega_successor_crosses_length_and_bucket_boundaries():
     # The last word of every length in every bucket up to weight 14, and the
     # words around it; the last word of a bucket steps to the next bucket.
-    labeling._grow_tables(14)
+    _grow_columns(14)
     ends = []
-    for weight in range(15):
-        pos = labeling._starts[weight]
-        for count in labeling._counts[weight]:
-            pos += count
+    for weight, pos in enumerate(islice(labeling._series_starts(), 15)):
+        for length in range(weight // 2 + 1):
+            pos += labeling._cols[length][weight - length]
             ends.append(pos - 1)
     for end in ends:
         for pos in range(max(0, end - 2), end + 2):
@@ -296,31 +351,37 @@ def test_omega_window_walk_matches_decode(lo, hi):
 
 def test_omega_weight_budget(monkeypatch):
     # Fresh tables, so the lowered limit is met while they grow.
-    monkeypatch.setattr(labeling, "_counts", [[1]])
+    monkeypatch.setattr(labeling, "_cols", [[1]])
     monkeypatch.setattr(labeling, "_starts", [0, 1])
     monkeypatch.setattr(labeling, "MAX_OMEGA_WEIGHT", 20)
     assert _position_omega((19,)) == labeling._starts[20]
     last = labeling._starts[21] - 1
     assert _letters_omega(last) == (-1,) * 10
+    grown = [len(col) for col in labeling._cols]
     with pytest.raises(BudgetExceededError):
         _position_omega((20,))
     with pytest.raises(BudgetExceededError):
         _letters_omega(last + 1)
     with pytest.raises(BudgetExceededError):
         VertexLabeling(OMEGA).word_of_label(2**300)
-    assert len(labeling._counts) == 21
+    assert [len(col) for col in labeling._cols] == grown
+    assert len(grown) == 11 and all(len(col) <= 21 - r for r, col in enumerate(labeling._cols))
 
 
 def test_starts_bounded_by_powers_of_two():
     # Weight w holds (2**w + 2 * (-1)**w) / 3 signed letter sequences, reduced
     # or not, so fewer than 2**w words come before it.
-    labeling._grow_tables(60)
-    assert all(labeling._starts[w] <= 2**w for w in range(61))
+    starts = list(islice(labeling._series_starts(), 61))
+    assert all(starts[w] <= 2**w for w in range(61))
 
 
 def test_series_starts_equal_table_starts():
-    labeling._grow_tables(60)
-    assert list(islice(labeling._series_starts(), 62)) == labeling._starts[:62]
+    # The series alone places the buckets; each bucket must hold exactly
+    # the words the count columns give it.
+    _grow_columns(61)
+    starts = list(islice(labeling._series_starts(), 63))
+    for w in range(62):
+        assert starts[w + 1] - starts[w] == sum(labeling._cols[r][w - r] for r in range(w + 1)), w
 
 
 def test_position_past_weight_limit_refused_without_tables():
@@ -329,22 +390,41 @@ def test_position_past_weight_limit_refused_without_tables():
     # bound of 2**257 grew the tables through weight 256 first.
     first = next(islice(labeling._series_starts(), labeling.MAX_OMEGA_WEIGHT + 1, None))
     assert first.bit_length() == 237
-    grown = len(labeling._counts)
+    grown = [len(col) for col in labeling._cols]
     for pos in (first, 2**255, 2**300):
         with pytest.raises(BudgetExceededError, match=f"weight {labeling.MAX_OMEGA_WEIGHT + 1}"):
             _letters_omega(pos)
-    assert len(labeling._counts) == grown
+    assert [len(col) for col in labeling._cols] == grown
+
+
+def test_count_columns_grow_only_as_far_as_read(monkeypatch):
+    # A word of L letters reads only the columns of fewer than L letters,
+    # however heavy it is.
+    monkeypatch.setattr(labeling, "_cols", [[1]])
+    monkeypatch.setattr(labeling, "_starts", [0, 1])
+    pos = _position_omega((89, -1))
+    assert len(labeling._cols) == 2
+    assert _letters_omega(pos) == (89, -1)
+    # A window tally grows no column further than decoding its heaviest
+    # label does.
+    lo, hi = -(10**40) - 199, -(10**40)
+    monkeypatch.setattr(labeling, "_cols", [[1]])
+    _letters_omega(position_from_label(lo))
+    decoded = [len(col) for col in labeling._cols]
+    monkeypatch.setattr(labeling, "_cols", [[1]])
+    _omega_type_counts(lo, hi)
+    assert [len(col) for col in labeling._cols] == decoded
 
 
 def test_heavy_label_refused_before_tables_grow(monkeypatch):
-    monkeypatch.setattr(labeling, "_counts", [[1]])
+    monkeypatch.setattr(labeling, "_cols", [[1]])
     monkeypatch.setattr(labeling, "_starts", [0, 1])
     monkeypatch.setattr(labeling, "MAX_OMEGA_WEIGHT", 30)
     with pytest.raises(BudgetExceededError, match="weight 31"):
         _letters_omega(2**31)
     with pytest.raises(BudgetExceededError, match="weight 31"):
         VertexLabeling(OMEGA).word_of_label(2**300)
-    assert len(labeling._counts) == 1
+    assert labeling._cols == [[1]]
 
 
 def test_label_of_word_checks_rank():

@@ -20,8 +20,8 @@ from hypothesis import given, settings, strategies as st
 from lineparadox.freegroup import OMEGA, Word, _omega_words_from, multiply
 from lineparadox.labeling import (
     VertexLabeling,
+    _column,
     _continuations,
-    _grow_tables,
     _letters_omega,
     _position_omega,
 )
@@ -88,7 +88,8 @@ def test_omega_successor_equals_next_decode(pos):
 
 @given(r=st.integers(0, 12), s=st.integers(0, 40), p=st.integers(1, 42))
 def test_continuation_count_equals_recursive_count(r, s, p):
-    _grow_tables(r + s)
+    for c in range(r + 1):
+        _column(c, r + s - c)
     assert _continuations(r, s, p) == oracle.tail_count(r, s, p)
 
 
