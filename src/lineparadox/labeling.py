@@ -16,13 +16,13 @@ buckets and gives the weight of a position before any column grows, so
 heavier positions are refused at once.  A labeling holds nothing but its
 rank: ``word_of_label`` and ``label_of_word`` compute every call afresh, so
 random access keeps no state between calls and its memory stays flat
-however many labels it visits.  Window sweeps walk the window's labels with
-:func:`_window_words`, which decodes one word and steps a successor through
-the rest.  A window's labels can also be counted by the first letters of
-their words with no word decoded: the words that share a length and their
+however many labels it visits.  A window is read in one of two ways.  Its
+type runs need no word decoded: the words that share a length and their
 first two letters, and at rank OMEGA also a weight, fill one run of
-consecutive positions (:func:`_window_type_counts`,
-:func:`_omega_type_counts`).  Cayley balls are
+consecutive positions, and the window's labels in a run are two ranges
+(:func:`_window_type_runs`, :func:`_omega_type_runs`, :func:`_labels_in`).
+Its words come from :func:`_window_words`, which decodes one word and steps
+a successor through the rest, in position order.  Cayley balls are
 built one sphere at a time from the identity: each new word a * w is linked
 to w both ways as it is made, so no label is encoded, decoded or looked up.
 """
@@ -119,18 +119,28 @@ def _letters_finite(k: int, pos: int) -> tuple[int, ...]:
     return tuple(letters)
 
 
-def _labels_at(lo: int, hi: int, p: int, q: int) -> int:
-    """The number of labels of [lo, hi] at the positions p..q, for p >= 1.
-    Label n > 0 sits at position 2n - 1 and n < 0 at -2n, so the count is
-    two interval intersections."""
-    n = max(0, min(hi, (q + 1) // 2) - max(lo, (p + 2) // 2) + 1)
-    return n + max(0, min(-lo, q // 2) - max(-hi, (p + 1) // 2) + 1)
+def _labels_in(lo: int, hi: int, p: int, q: int) -> tuple[range, range]:
+    """The labels of [lo, hi] at the positions p..q as two ranges, n > 0 at
+    2n - 1 and n <= 0 at -2n.  Count one by ``stop - start`` clipped at 0:
+    ``len`` raises OverflowError past ``sys.maxsize``."""
+    return (
+        range(max(lo, (p + 2) // 2), min(hi, (q + 1) // 2) + 1),
+        range(max(lo, -(q // 2)), min(hi, -((p + 1) // 2)) + 1),
+    )
 
 
-def _window_type_counts(k: int, lo: int, hi: int) -> dict[tuple[tuple[int, ...], bool], int]:
-    """The labels of [lo, hi] at finite rank k, counted by the type of their
-    words with no word decoded: ``{(first two letters, whether every letter
-    after the first is x_k): count}``, types with no label left out.
+def _count_in(lo: int, hi: int, p: int, q: int) -> int:
+    """The number of labels of [lo, hi] at the positions p..q."""
+    pos, neg = _labels_in(lo, hi, p, q)
+    return max(0, pos.stop - pos.start) + max(0, neg.stop - neg.start)
+
+
+def _window_type_runs(k: int, lo: int, hi: int) -> Iterator[tuple]:
+    """The labels of [lo, hi] at finite rank k by the type of their words,
+    with no word decoded: ``(tau, p, q, n)`` in position order for each run
+    of positions p..q whose words share the type tau = (first two letters,
+    whether every letter after the first is x_k) and hold n > 0 labels of
+    the window.
 
     The words of length L >= 2 that start with a, c fill one run of
     (2k-1)**(L-2) positions, and the runs follow each other in the order of
@@ -138,36 +148,29 @@ def _window_type_counts(k: int, lo: int, hi: int) -> dict[tuple[tuple[int, ...],
     Only a * c**(L-1) can have every later letter x_k, when c is x_k, and it
     ends its run: x_k is the last letter that may follow x_k.
     """
-    counts: dict[tuple[tuple[int, ...], bool], int] = {}
-    if lo > hi:
-        return counts
-
-    def add(key: tuple[tuple[int, ...], bool], p: int, q: int) -> None:
-        n = _labels_at(lo, hi, p, q)
-        if n:
-            counts[key] = counts.get(key, 0) + n
-
-    if lo <= 0 <= hi:
-        counts[((), True)] = 1
     letters = ordered_letters(k)
-    for pos, a in enumerate(letters, 1):
-        add(((a,), True), pos, pos)
     top = max(position_from_label(lo), position_from_label(hi))
-    pos = 2 * k + 1
-    size = 1
-    while pos <= top:
-        for a in letters:
-            for c in letters:
-                if c == -a:
-                    continue
-                end = pos + size - 1
-                if c == k:
-                    add(((a, c), True), end, end)
-                    end -= 1
-                add(((a, c), False), pos, end)
-                pos += size
-        size *= 2 * k - 1
-    return counts
+
+    def runs() -> Iterator[tuple]:
+        yield ((), True), 0, 0
+        for pos, a in enumerate(letters, 1):
+            yield ((a,), True), pos, pos
+        pos, size = 2 * k + 1, 1
+        while pos <= top:
+            for a in letters:
+                for c in letters:
+                    if c != -a:
+                        split = pos + size - (c == k)  # a * x_k**(L-1) ends its run
+                        yield ((a, c), False), pos, split - 1
+                        if c == k:
+                            yield ((a, c), True), split, split
+                        pos += size
+            size *= 2 * k - 1
+
+    for tau, p, q in runs():
+        n = _count_in(lo, hi, p, q)
+        if n:
+            yield tau, p, q, n
 
 
 # --- rank OMEGA: counting over weight buckets -------------------------------
@@ -239,8 +242,7 @@ def _position_omega(letters: tuple[int, ...]) -> int:
     length = len(letters)
     weight = word_weight(letters)
     _check_weight(weight)
-    if len(_starts) <= weight + 1:
-        _starts[:] = islice(_series_starts(), weight + 2)
+    _grow_starts(weight + 2)
     # The shorter words of the bucket come first.  Column 0 adds nothing
     # but grows first, since column 1 reads it.
     pos = _starts[weight] + sum(_column(r, weight - r)[weight - r] for r in range(length))
@@ -284,19 +286,23 @@ def _series_starts() -> Iterator[int]:
         f.append(sum(g[t] * f[w - t] for t in range(2, w + 1)))
 
 
+def _grow_starts(count: int) -> None:
+    """Extend ``_starts`` to ``count`` entries or more, at least doubling it
+    so one weight at a time restarts the series O(log W) times, and never
+    past weight MAX_OMEGA_WEIGHT + 1, whose first position is refused."""
+    if len(_starts) < count:
+        size = min(max(count, 2 * len(_starts)), MAX_OMEGA_WEIGHT + 2)
+        _starts[:] = islice(_series_starts(), size)
+
+
 def _starts_past(pos: int) -> None:
     """Extend ``_starts`` past ``pos`` from the series alone, so a position
     past the weight limit is refused before any column grows."""
-    if _starts[-1] > pos:
-        return
-    starts = []
-    for start in islice(_series_starts(), MAX_OMEGA_WEIGHT + 2):
-        starts.append(start)
-        if start > pos:
-            _starts[:] = starts
-            return
-    # Every word of weight up to the limit comes before pos.
-    _check_weight(MAX_OMEGA_WEIGHT + 1)
+    while _starts[-1] <= pos:
+        if len(_starts) >= MAX_OMEGA_WEIGHT + 2:
+            # Every word of weight up to the limit comes before pos.
+            _check_weight(MAX_OMEGA_WEIGHT + 1)
+        _grow_starts(len(_starts) + 1)
 
 
 def _letters_omega(pos: int) -> tuple[int, ...]:
@@ -339,11 +345,11 @@ def _letters_omega(pos: int) -> tuple[int, ...]:
     return tuple(letters)
 
 
-def _omega_type_counts(lo: int, hi: int) -> dict[tuple[tuple[int, ...], bool], int]:
-    """The labels of [lo, hi] at rank OMEGA counted by the type of their
-    words, as :func:`_window_type_counts` counts them at finite rank:
-    ``{(first two letters, whether every letter after the first is x_1):
-    count}``.
+def _omega_type_runs(lo: int, hi: int) -> Iterator[tuple]:
+    """The labels of [lo, hi] at rank OMEGA by the type of their words, as
+    :func:`_window_type_runs` gives them at finite rank: ``(tau, p, q, n)``
+    in position order, with tau = (first two letters, whether every letter
+    after the first is x_1).
 
     The positions run through the weight buckets, each bucket through its
     lengths, each length through its first letters a and each first letter
@@ -356,36 +362,31 @@ def _omega_type_counts(lo: int, hi: int) -> dict[tuple[tuple[int, ...], bool], i
     window is stepped over by its size, so only the count columns the
     window's heaviest word needs grow.
     """
-    counts: dict[tuple[tuple[int, ...], bool], int] = {}
     if lo > hi:
-        return counts
-
-    def add(key: tuple[tuple[int, ...], bool], n: int) -> None:
-        if n:
-            counts[key] = counts.get(key, 0) + n
-
+        return
     if lo <= 0 <= hi:
-        counts[((), True)] = 1
+        yield ((), True), 0, 0, 1
     top = max(position_from_label(lo), position_from_label(hi))
     _starts_past(top)
     for weight in range(2, bisect_right(_starts, top)):
         pos = _starts[weight]
-        if not _labels_at(lo, hi, pos, _starts[weight + 1] - 1):
+        if not _count_in(lo, hi, pos, _starts[weight + 1] - 1):
             continue
         for length in range(weight // 2 + 1):
             if pos > top:
-                return counts
+                return
             size = _column(length, weight - length)[weight - length]
-            if not _labels_at(lo, hi, pos, pos + size - 1):
+            if not _count_in(lo, hi, pos, pos + size - 1):
                 pos += size
                 continue
             for i in range(1, weight - 2 * length + 2):
                 rest = weight - length - i
                 block = _continuations(length - 1, rest, i)
                 for a in (i, -i):
-                    n = _labels_at(lo, hi, pos, pos + block - 1)
+                    n = _count_in(lo, hi, pos, pos + block - 1)
                     if length == 1:
-                        add(((a,), True), n)
+                        if n:
+                            yield ((a,), True), pos, pos + block - 1, n
                     elif n:
                         p = pos
                         for j in range(1, rest - length + 3):
@@ -394,11 +395,12 @@ def _omega_type_counts(lo: int, hi: int) -> dict[tuple[tuple[int, ...], bool], i
                             for c in (j, -j):
                                 if c != -a:
                                     # A block the window covers whole needs no intersections.
-                                    hit = run if n == block else _labels_at(lo, hi, p, p + run - 1)
-                                    add(((a, c), c == 1 and srem == length - 2), hit)
+                                    hit = run if n == block else _count_in(lo, hi, p, p + run - 1)
+                                    if hit:
+                                        tau = ((a, c), c == 1 and srem == length - 2)
+                                        yield tau, p, p + run - 1, hit
                                     p += run
                     pos += block
-    return counts
 
 
 # --- window sweeps: one decode, then successor steps -----------------------
@@ -407,11 +409,13 @@ def _omega_type_counts(lo: int, hi: int) -> dict[tuple[tuple[int, ...], bool], i
 def _window_words(rank, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Yield ``(label, letters)`` once for every label in [lo, hi].
 
-    Only the walk's current word is held, so a sweep's memory stays flat in
+    Only the walk's current word is held, so a walk's memory stays flat in
     the window size.  The labels fill a run of positions: every position
     while the window holds both n and -n, then one parity.  The walk decodes
     the first position and steps the successor of its rank through the run,
-    at most two steps per label, so labels come in position order.
+    at most two steps per label, so labels come in position order: rising
+    for n >= 0, falling for n < 0.  ``ParadoxInstance.classify_window``
+    sorts the negative labels into label order a chunk at a time.
     """
     if lo > hi:
         return iter(())
@@ -433,14 +437,6 @@ def _window_words(rank, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]
     else:
         words = _words_from(rank, _letters_finite(rank, first))
     return chain(zip(core, words), zip(tail, islice(words, skip, None, 2)))
-
-
-def _window_letters(rank, lo: int, hi: int) -> list[tuple[int, ...]]:
-    """The letters of the labels lo, lo + 1, ..., hi, in label order."""
-    out: list[tuple[int, ...]] = [()] * max(0, hi - lo + 1)
-    for n, letters in _window_words(rank, lo, hi):
-        out[n - lo] = letters
-    return out
 
 
 class VertexLabeling:

@@ -24,14 +24,14 @@ entry of tau(w) and for x_j^-1 w is never so.  The third entry follows from
 the others (w is a power of x_s when w[1:] is one and w[0] is x_s or
 none), so the code writes tau(w) as (w[:2], all of w[1:] is x_s).
 
-The sweep therefore tallies the window's labels by tau, judges one word per
-type and scales that verdict by the type's tally.  The tallies are counted
-from the positions of the words of each type, with no word decoded
-(``labeling._window_type_counts`` at finite rank,
-``labeling._omega_type_counts`` at rank OMEGA).  Only when some verdict
-finds a violation does the sweep walk the window, to list the failing
-labels.  A walk decodes one word and steps a successor through the rest, so
-memory stays flat in the window size.
+The sweep therefore reads the window only through its type runs: the runs
+of consecutive positions whose words share tau, with the window's labels in
+each (``labeling._window_type_runs`` at finite rank,
+``labeling._omega_type_runs`` at rank OMEGA).  It tallies the labels by
+tau, judges one word per type and scales that verdict by the type's tally.
+Only when some verdict finds a violation are the runs generated again, and
+the failing runs' labels read off their positions, so no word is decoded
+and memory stays flat in the window size whether the sweep passes or fails.
 
 Pulled-back membership is computed on the word itself, classifying
 ``x_j^-1 * w_n`` directly.  That equals classifying the integer image of the
@@ -43,7 +43,8 @@ astronomically large integer labels of heavy words.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import partial
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 from .freegroup import (
@@ -61,13 +62,15 @@ from .freegroup import (
 from .labeling import (
     BudgetExceededError,
     VertexLabeling,
-    _omega_type_counts,
+    _labels_in,
+    _omega_type_runs,
     _position_finite,
     _position_omega,
-    _window_letters,
-    _window_type_counts,
+    _starts_past,
+    _window_type_runs,
     _window_words,
     bounded_ball_vertex_count,
+    position_from_label,
 )
 from .permutation import TreePermutation
 from .rigid import PiecewiseRigidMap, as_rational, floor_part
@@ -93,12 +96,6 @@ def _classes(pairs: range) -> list[WordClass]:
     return [WordClass(j, side) for j in pairs for side in (PLUS, MINUS)]
 
 
-def _tau(letters: tuple[int, ...], s: int) -> tuple[tuple[int, ...], bool]:
-    """tau(letters): the first two letters and whether every later one is x_s."""
-    tail = letters[1:]
-    return letters[:2], tail.count(s) == len(tail)
-
-
 def _type_word(tau: tuple[tuple[int, ...], bool], s: int) -> tuple[int, ...]:
     """The shortest word of type tau.  Only a word that starts with a, x_s
     and has a later letter other than x_s needs a third letter: x_1, or x_2
@@ -111,6 +108,9 @@ def _type_word(tau: tuple[tuple[int, ...], bool], s: int) -> tuple[int, ...]:
 
 #: The partition tally of words past the pair limit at rank OMEGA.
 OVERFLOW = "overflow"
+
+#: Labels ``classify_window`` walks and sorts at a time.
+CLASSIFY_CHUNK = 4096
 
 
 def _verdict(
@@ -282,14 +282,21 @@ class ParadoxInstance:
     def classify_window(self, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...], WordClass]]:
         """``(n, letters, class)`` for n = lo, ..., hi, in label order.
 
-        The window's words are decoded by one walk before this returns, so
-        a label past a budget raises here, before any row is yielded.
+        Walks fall through the positions of negative labels, so those are
+        walked in sorted chunks of CLASSIFY_CHUNK labels and the rest in one
+        walk, at flat memory.  At rank OMEGA the heaviest end is weighed
+        before this returns, so a label past the weight limit raises before
+        any row is yielded; finite rank has no limit.
         """
-        s = self.special
-        return (
-            (n, letters, WordClass(*_classify_letters(letters, s)))
-            for n, letters in enumerate(_window_letters(self.rank, lo, hi), lo)
+        if self.rank == OMEGA and lo <= hi:
+            _starts_past(max(position_from_label(lo), position_from_label(hi)))
+        below = (
+            sorted(_window_words(self.rank, a, min(hi, -1, a + CLASSIFY_CHUNK - 1)))
+            for a in range(lo, min(hi, -1) + 1, CLASSIFY_CHUNK)
         )
+        words = chain(chain.from_iterable(below), _window_words(self.rank, max(lo, 0), hi))
+        s = self.special
+        return ((n, letters, WordClass(*_classify_letters(letters, s))) for n, letters in words)
 
     def verify_partition(self, lo: int, hi: int, pair_limit: int | None = None) -> PartitionReport:
         """Every label in [lo, hi] must satisfy exactly one class predicate.
@@ -331,21 +338,22 @@ class ParadoxInstance:
 
         The partition is checked over the pairs in ``classes`` (not at all
         when it is empty) and the reassembly over the pairs in ``pulls``.
-        The labels are tallied by their type tau, counted from the runs of
-        positions each type fills at either rank, and the ``_verdict`` of
-        each type's shortest word scaled by the tally gives the counts (the
-        module docstring says why one word speaks for its type).  A walk
-        lists violations only if some verdict has one; labels arrive in the
-        walker's order, so violations are sorted by n at the end and the
+        The labels are tallied by their type tau from the runs of positions
+        each type fills at either rank, and the ``_verdict`` of each type's
+        shortest word scaled by the tally gives the counts (the module
+        docstring says why one word speaks for its type).  Only if some
+        verdict fails are the runs generated again, and each failing run's
+        labels listed from its positions, with no word decoded.  Runs come
+        in position order, so violations are sorted by n at the end and the
         lists read as an ascending sweep would emit them.
         """
         s = self.special
         checks = _classes(classes)
         top = classes[-1] if self.rank == OMEGA and checks else None
-        if self.rank == OMEGA:
-            tallies = _omega_type_counts(lo, hi)
-        else:
-            tallies = _window_type_counts(self.rank, lo, hi)
+        runs = _omega_type_runs if self.rank == OMEGA else partial(_window_type_runs, self.rank)
+        tallies: dict[tuple[tuple[int, ...], bool], int] = {}
+        for t, _, _, n in runs(lo, hi):
+            tallies[t] = tallies.get(t, 0) + n
         verdicts = {t: _verdict(_type_word(t, s), s, checks, top, pulls) for t in tallies}
         tally = dict.fromkeys(checks, 0)
         tally[OVERFLOW] = 0
@@ -359,13 +367,16 @@ class ParadoxInstance:
         part_violations: list[tuple[int, str]] = []
         reas_violations: list[tuple[int, int, str]] = []
         if any(v[1] is not None or any(v[2]) for v in verdicts.values()):
-            for n, letters in _window_words(self.rank, lo, hi):
-                _, reason, pull_reasons = verdicts[_tau(letters, s)]
-                if reason is not None:
-                    part_violations.append((n, reason))
-                for j, pull_reason in zip(pulls, pull_reasons):
-                    if pull_reason is not None:
-                        reas_violations.append((j, n, pull_reason))
+            for t, p, q, _ in runs(lo, hi):
+                _, reason, pull_reasons = verdicts[t]
+                if reason is None and not any(pull_reasons):
+                    continue
+                for n in chain(*_labels_in(lo, hi, p, q)):
+                    if reason is not None:
+                        part_violations.append((n, reason))
+                    for j, pull_reason in zip(pulls, pull_reasons):
+                        if pull_reason is not None:
+                            reas_violations.append((j, n, pull_reason))
         counts = {c.label(self.rank): tally[c] for c in checks}
         if top is not None:
             counts[OVERFLOW] = tally[OVERFLOW]
@@ -376,28 +387,6 @@ class ParadoxInstance:
             PartitionReport((lo, hi), self.rank, counts, part_violations),
             ReassemblyReport((lo, hi), self.rank, pulls, covered, reas_violations),
         )
-
-    def _free_action_words(
-        self, max_length: int, word_budget: int, pair_limit: int | None
-    ) -> tuple[int, int]:
-        """The number of pairs the free action is certified over and the
-        number of nonempty words up to ``max_length``, refused past the
-        word budget."""
-        if max_length < 1:
-            raise ValueError(f"max_length must be >= 1, got {max_length}")
-        k = self.rank if self.rank != OMEGA else self.pairs(pair_limit)[-1]
-        # The nonempty words fit the budget when the ball fits one more.
-        count = bounded_ball_vertex_count(k, max_length, word_budget + 1)
-        if count is None:
-            raise BudgetExceededError(
-                f"the words of length <= {max_length} exceed the budget of {word_budget}"
-            )
-        total = count - 1
-        if total > word_budget:
-            raise BudgetExceededError(
-                f"{total} words of length <= {max_length} exceed the budget of {word_budget}"
-            )
-        return k, total
 
     def certify_free_action(
         self,
@@ -419,7 +408,20 @@ class ParadoxInstance:
         the i-th word must encode to position i; at rank OMEGA the positions
         go in a set.
         """
-        k, total = self._free_action_words(max_length, word_budget, pair_limit)
+        if max_length < 1:
+            raise ValueError(f"max_length must be >= 1, got {max_length}")
+        k = self.rank if self.rank != OMEGA else self.pairs(pair_limit)[-1]
+        # The nonempty words fit the budget when the ball fits one more.
+        count = bounded_ball_vertex_count(k, max_length, word_budget + 1)
+        if count is None:
+            raise BudgetExceededError(
+                f"the words of length <= {max_length} exceed the budget of {word_budget}"
+            )
+        total = count - 1
+        if total > word_budget:
+            raise BudgetExceededError(
+                f"{total} words of length <= {max_length} exceed the budget of {word_budget}"
+            )
         # The nonempty words up to max_length are the first total from x1 on.
         words = islice(_words_from(k, (1,)), total)
         if self.rank == OMEGA:
@@ -445,8 +447,10 @@ def verification_summary(
     """The combined verification record serialized by the command line."""
     pairs = instance.pairs(pair_limit)
     if free_check is not None:
-        # A free_check past the word budget is refused before the sweep.
-        instance._free_action_words(free_check, word_budget, pair_limit)
+        # Certified first, so a free_check past the word budget skips the sweep.
+        free = instance.certify_free_action(
+            free_check, lo, hi, word_budget=word_budget, pair_limit=pair_limit
+        )
     part, reas = instance._sweep(lo, hi, pairs, tuple(pairs))
     violations: list[dict] = []
     for n, reason in part.violations:
@@ -462,9 +466,6 @@ def verification_summary(
         "pass": part.passed and reas.passed,
     }
     if free_check is not None:
-        free = instance.certify_free_action(
-            free_check, lo, hi, word_budget=word_budget, pair_limit=pair_limit
-        )
         summary["free_action"] = {
             "max_length": free.max_length,
             "words_checked": free.words_checked,

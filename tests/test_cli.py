@@ -4,13 +4,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import islice
 
 import pytest
 
 import lineparadox
 from lineparadox import cli, labeling, paradox
 from lineparadox.cli import MAX_BALL_VERTICES, main
-from lineparadox.freegroup import OMEGA, Word, WordClass, _classify_letters, format_word
+from lineparadox.freegroup import OMEGA, Word, format_word
 from lineparadox.labeling import VertexLabeling, ball_vertex_count
 from lineparadox.paradox import ParadoxInstance
 from lineparadox.render import line_strip_svg
@@ -66,16 +67,8 @@ def test_classify_json_streams_rows(capsys, monkeypatch, tmp_path):
         target = tmp_path / "rows.json"
         assert run(capsys, "classify", *argv, "--out", str(target))[0] == 0
         assert target.read_text() == expected
-    # classify_window lists its window before the first row (a separate
-    # cost); a walk that streams it leaves only the writer to measure.
-    def streamed(self, lo, hi):
-        s = self.special
-        return (
-            (n, letters, WordClass(*_classify_letters(letters, s)))
-            for n, letters in labeling._window_words(self.rank, lo, hi)
-        )
-
-    monkeypatch.setattr(ParadoxInstance, "classify_window", streamed)
+    # classify_window walks its window in sorted chunks, so the real one
+    # streams with the writer.
     peaks = []
     for count in (1000, 10000):
         tracemalloc.start()
@@ -156,6 +149,8 @@ def test_verify_finite_rank_pass_takes_no_walk(capsys, monkeypatch):
     def no_walk(*args):
         raise AssertionError("a passing finite-rank verify must not walk the window")
 
+    monkeypatch.setattr(labeling, "_letters_finite", no_walk)
+    monkeypatch.setattr(labeling, "_window_words", no_walk)
     monkeypatch.setattr(paradox, "_window_words", no_walk)
     code, out, _ = run(capsys, "verify", "--k", "2", "--window", "-1000000..1000000")
     assert code == 0
@@ -172,6 +167,8 @@ def test_verify_omega_pass_takes_no_walk(capsys, monkeypatch):
     def no_walk(*args):
         raise AssertionError("a passing rank-omega verify must not walk the window")
 
+    monkeypatch.setattr(labeling, "_letters_omega", no_walk)
+    monkeypatch.setattr(labeling, "_window_words", no_walk)
     monkeypatch.setattr(paradox, "_window_words", no_walk)
     names = ParadoxInstance(OMEGA).class_names(10)
     for lo, hi in [(-1_000_000, 1_000_000), (-(10**40) - 199, -(10**40))]:
@@ -549,7 +546,6 @@ def test_wide_window_refused_before_walk(capsys, monkeypatch, command):
         raise AssertionError("the window must not be walked")
 
     monkeypatch.setattr(paradox, "_window_words", no_walk)
-    monkeypatch.setattr(paradox, "_window_letters", no_walk)
     code, out, err = run(capsys, command, "--window", f"{-10**18}..{10**18}")
     assert code == 3
     assert out == ""
@@ -563,6 +559,32 @@ def test_classify_refuses_heavy_label_before_any_row(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and "weight" in err
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_classify_refuses_window_crossing_weight_limit_before_any_row(
+    capsys, monkeypatch, fmt, sign
+):
+    # The window's heaviest end is weighed before the first row: a window
+    # of several chunks whose farthest label lies past the lowered weight
+    # limit writes nothing, where its other labels alone stream, and grows
+    # no count column.
+    monkeypatch.setattr(labeling, "_cols", [[1]])
+    monkeypatch.setattr(labeling, "_starts", [0, 1])
+    monkeypatch.setattr(labeling, "MAX_OMEGA_WEIGHT", 20)
+    first = next(islice(labeling._series_starts(), 21, None))  # of weight 21
+    n = (first + 1) // 2  # labels n and -n sit at positions >= first
+    near, far = sign * (n - 3 * paradox.CLASSIFY_CHUNK), sign * n
+    assert labeling.position_from_label(far) >= first > labeling.position_from_label(far - sign)
+    window = f"{min(near, far)}..{max(near, far)}"
+    argv = ("classify", "--k", "omega", "--format", fmt, "--window")
+    refusal = "error: rank omega weight 21 exceeds the weight limit of 20\n"
+    assert run(capsys, *argv, window) == (3, "", refusal)
+    assert labeling._cols == [[1]]
+    window = f"{min(near, far - sign)}..{max(near, far - sign)}"
+    code, out, _ = run(capsys, *argv, window)
+    assert code == 0 and out
 
 
 def test_window_budget_admits_the_million_window():

@@ -27,11 +27,12 @@ from lineparadox.labeling import (
     UnsupportedRankError,
     VertexLabeling,
     _continuations,
+    _labels_in,
     _letters_finite,
     _letters_omega,
-    _omega_type_counts,
+    _omega_type_runs,
     _position_omega,
-    _window_type_counts,
+    _window_type_runs,
     _window_words,
     ball_vertex_count,
     bounded_ball_vertex_count,
@@ -202,6 +203,14 @@ def _walked_type_counts(rank, lo, hi):
     ))
 
 
+def _folded(runs):
+    """The labels of a run generator counted by type."""
+    counts = Counter()
+    for tau, _, _, n in runs:
+        counts[tau] += n
+    return dict(counts)
+
+
 def _run_boundary_labels(k, max_length):
     """Labels at the first and last position of every (a, c) run up to
     ``max_length`` letters, and at the positions next to them."""
@@ -241,7 +250,7 @@ def test_run_tally_equals_walked_type_counts(k):
         lo = rng.randint(-reach, reach)
         windows.append((lo, lo + rng.randint(-2, reach)))
     for lo, hi in windows:
-        assert _window_type_counts(k, lo, hi) == _walked_type_counts(k, lo, hi), (lo, hi)
+        assert _folded(_window_type_runs(k, lo, hi)) == _walked_type_counts(k, lo, hi), (lo, hi)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
@@ -249,9 +258,9 @@ def test_run_tally_sums_to_far_window(k):
     # No walk reaches this window: the tally must cover it exactly, and the
     # halves below and above 0 must add up to the whole.
     lo, hi = -(10**60), 10**60
-    whole = _window_type_counts(k, lo, hi)
+    whole = _folded(_window_type_runs(k, lo, hi))
     assert sum(whole.values()) == hi - lo + 1
-    below, above = _window_type_counts(k, lo, 0), _window_type_counts(k, 1, hi)
+    below, above = _folded(_window_type_runs(k, lo, 0)), _folded(_window_type_runs(k, 1, hi))
     assert whole == {t: below.get(t, 0) + above.get(t, 0) for t in below.keys() | above.keys()}
 
 
@@ -284,7 +293,46 @@ def test_omega_run_tally_equals_walked_type_counts():
         lo = rng.randint(-reach, reach)
         windows.append((lo, lo + rng.randint(-2, 3000)))
     for lo, hi in windows:
-        assert _omega_type_counts(lo, hi) == _walked_type_counts(OMEGA, lo, hi), (lo, hi)
+        assert _folded(_omega_type_runs(lo, hi)) == _walked_type_counts(OMEGA, lo, hi), (lo, hi)
+
+
+def _assert_runs_exact(rank, runs, lo, hi):
+    # Each run's labels from _labels_in sit at its positions and have its
+    # type on the walk, n counts them, and the runs, in position order and
+    # disjoint, cover the window once: so a run's labels are exactly the
+    # walked labels at its positions.
+    s = 1 if rank == OMEGA else rank
+    walked = {
+        n: (letters[:2], all(a == s for a in letters[1:]))
+        for n, letters in _window_words(rank, lo, hi)
+    }
+    seen = []
+    last = -1
+    for tau, p, q, n in runs:
+        assert last < p <= q, (lo, hi, p, q)
+        last = q
+        labels = [m for part in _labels_in(lo, hi, p, q) for m in part]
+        assert n == len(labels) > 0, (lo, hi, p, q)
+        for m in labels:
+            assert walked[m] == tau and p <= position_from_label(m) <= q, (lo, hi, m)
+        seen += labels
+    assert sorted(seen) == sorted(walked), (lo, hi)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_window_type_runs_are_exact(k):
+    ends = _run_boundary_labels(k, 3)
+    windows = list(_TYPE_COUNT_WINDOWS) + [(n, n) for n in ends] + list(zip(ends, ends[1:]))
+    for lo, hi in windows:
+        _assert_runs_exact(k, _window_type_runs(k, lo, hi), lo, hi)
+
+
+def test_omega_type_runs_are_exact():
+    ends = _omega_run_boundary_labels(10)
+    windows = list(_TYPE_COUNT_WINDOWS) + [(n, n) for n in ends] + list(zip(ends, ends[1:]))
+    windows += [(10**12, 10**12 + 199), (-(10**40) - 199, -(10**40))]
+    for lo, hi in windows:
+        _assert_runs_exact(OMEGA, _omega_type_runs(lo, hi), lo, hi)
 
 
 def test_omega_run_tally_refuses_past_weight_limit_before_growth():
@@ -296,7 +344,7 @@ def test_omega_run_tally_refuses_past_weight_limit_before_growth():
     grown = [len(col) for col in labeling._cols]
     for lo, hi in [(2**255, 2**255), (n - 3, n), (-n, -n + 3)]:
         with pytest.raises(BudgetExceededError, match=f"weight {labeling.MAX_OMEGA_WEIGHT + 1}"):
-            _omega_type_counts(lo, hi)
+            _folded(_omega_type_runs(lo, hi))
     assert [len(col) for col in labeling._cols] == grown
 
 
@@ -397,6 +445,32 @@ def test_position_past_weight_limit_refused_without_tables():
     assert [len(col) for col in labeling._cols] == grown
 
 
+def test_starts_grow_by_doubling(monkeypatch):
+    # Growing _starts one weight at a time through the limit restarts the
+    # growth series only as _starts doubles, where restarting it for every
+    # weight took O(W**3) steps; the weight past the limit is still refused.
+    firsts = list(islice(labeling._series_starts(), labeling.MAX_OMEGA_WEIGHT + 2))
+    real = labeling._series_starts
+    restarts = []
+
+    def counting():
+        restarts.append(len(labeling._starts))
+        return real()
+
+    monkeypatch.setattr(labeling, "_series_starts", counting)
+    monkeypatch.setattr(labeling, "_starts", [0, 1])
+    for w in range(2, labeling.MAX_OMEGA_WEIGHT + 1):
+        labeling._starts_past(firsts[w])
+        assert _position_omega((w - 1,)) == firsts[w]
+    assert len(restarts) <= 10
+    assert labeling._starts == firsts
+    limit = f"weight {labeling.MAX_OMEGA_WEIGHT + 1}"
+    with pytest.raises(BudgetExceededError, match=limit):
+        labeling._starts_past(firsts[-1])
+    with pytest.raises(BudgetExceededError, match=limit):
+        _position_omega((labeling.MAX_OMEGA_WEIGHT,))
+
+
 def test_count_columns_grow_only_as_far_as_read(monkeypatch):
     # A word of L letters reads only the columns of fewer than L letters,
     # however heavy it is.
@@ -412,7 +486,7 @@ def test_count_columns_grow_only_as_far_as_read(monkeypatch):
     _letters_omega(position_from_label(lo))
     decoded = [len(col) for col in labeling._cols]
     monkeypatch.setattr(labeling, "_cols", [[1]])
-    _omega_type_counts(lo, hi)
+    _folded(_omega_type_runs(lo, hi))
     assert [len(col) for col in labeling._cols] == decoded
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from lineparadox.freegroup import MINUS, OMEGA, PLUS, WordClass
 from lineparadox.labeling import VertexLabeling
-from lineparadox import paradox
+from lineparadox import labeling, paradox
 from lineparadox.paradox import (
     BudgetExceededError,
     ParadoxInstance,
@@ -383,6 +383,32 @@ def test_sweep_equals_per_label_verdicts_under_type_mutations(
     assert part.violations or reas.violations
 
 
+@pytest.mark.parametrize("rank, limit, lo, hi", [
+    (2, None, -300, 200), (3, None, 10**60 - 60, 10**60 + 60), (OMEGA, 3, -200, 150),
+    (OMEGA, 10, -(10**12) - 100, -(10**12)),
+])
+def test_failing_sweep_decodes_nothing(monkeypatch, rank, limit, lo, hi):
+    # The violations are listed from each failing run's positions: with
+    # every decoder and the walk broken, a failing sweep still lists them
+    # as a per-label sweep does.
+    real = paradox._is_member
+    mutate = _TYPE_MUTATIONS["every plus class"]
+    monkeypatch.setattr(paradox, "_is_member", lambda *args: mutate(real, *args))
+    inst = ParadoxInstance(rank)
+    pairs = inst.pairs(limit)
+    expected = _per_label_sweep(inst, lo, hi, pairs)
+
+    def no_decode(*args):
+        raise AssertionError("a failing sweep must decode no word")
+
+    for name in ("_letters_finite", "_letters_omega", "_window_words"):
+        monkeypatch.setattr(labeling, name, no_decode)
+    monkeypatch.setattr(paradox, "_window_words", no_decode)
+    part, reas = inst._sweep(lo, hi, pairs, tuple(pairs))
+    assert (part.counts, reas.covered, part.violations, reas.violations) == expected
+    assert part.violations or reas.violations
+
+
 def _traced(fn):
     """``fn()`` and the peak traced bytes while it ran."""
     tracemalloc.start()
@@ -410,7 +436,7 @@ def test_sweep_violations_in_ascending_order(monkeypatch):
     # A predicate that admits every word to every plus class breaks both
     # checks on every label; the walk visits labels out of order, yet the
     # reports list violations by ascending n, and by pair within one n.
-    from lineparadox import paradox
+    from lineparadox import labeling, paradox
 
     real = paradox._is_member
     monkeypatch.setattr(

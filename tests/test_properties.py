@@ -25,7 +25,7 @@ from lineparadox.labeling import (
     _letters_omega,
     _position_omega,
 )
-from lineparadox.paradox import _classes, _tau, _type_word, _verdict
+from lineparadox.paradox import _classes, _type_word, _verdict
 from lineparadox.permutation import TreePermutation
 from lineparadox.rigid import PiecewiseRigidMap, _image_tables, compose_maps, floor_part
 
@@ -118,6 +118,12 @@ def same_key_words(draw, k, max_tail=6):
 
     count = draw(st.integers(0, max_tail))
     return s, tail(count), tail(count)
+
+
+def _tau(letters, s):
+    """tau(letters): the first two letters and whether every later one is x_s."""
+    tail = letters[1:]
+    return letters[:2], tail.count(s) == len(tail)
 
 
 @settings(max_examples=300)
