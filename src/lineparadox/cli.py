@@ -106,22 +106,27 @@ def _add_common(p: argparse.ArgumentParser, window: bool = False) -> None:
 
 @contextlib.contextmanager
 def _output(out: str | None) -> Iterator[TextIO]:
-    """Stdout, or a temporary file that replaces ``out`` once all is written."""
+    """Stdout, or a temporary file that replaces ``out`` once all is written.
+
+    An ``out`` that cannot be written is an input error (ValueError).
+    """
     if out is None:
         yield sys.stdout
         return
     directory = os.path.dirname(os.path.abspath(out)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lineparadox-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lineparadox-", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             yield fh
         os.replace(tmp, out)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+        tmp = None
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -22,9 +22,12 @@ first two letters, and at rank OMEGA also a weight, fill one run of
 consecutive positions, and the window's labels in a run are two ranges
 (:func:`_window_type_runs`, :func:`_omega_type_runs`, :func:`_labels_in`).
 Its words come from :func:`_window_words`, which decodes one word and steps
-a successor through the rest, in position order.  Cayley balls are
-built one sphere at a time from the identity: each new word a * w is linked
-to w both ways as it is made, so no label is encoded, decoded or looked up.
+a successor through the rest, in position order.  A Cayley ball's labels
+are a contiguous range, so it is held as one neighbour column per signed
+letter, indexed by label.  It is built one sphere at a time from the
+identity, keeping only each sphere's labels: each new word a * w is linked
+to w both ways in the columns as it is made, so no label is encoded,
+decoded or looked up and no word is built.
 """
 
 from __future__ import annotations
@@ -482,9 +485,10 @@ class VertexLabeling:
     def ball(self, radius: int) -> "CayleyBall":
         if self.rank == OMEGA:
             raise UnsupportedRankError("Cayley balls are only materialized for finite rank")
-        if radius < 0:
-            raise ValueError(f"radius must be nonnegative, got {radius}")
+        count = ball_vertex_count(self.rank, radius)
+        lo = -(count // 2)
         signed = ordered_letters(self.rank)
+        columns = {a: [None] * count for a in signed}
         # The ball is built one sphere at a time.  The words of length L + 1
         # are a * w for each letter a in order and each word w of length L
         # not starting with -a, in the (length, lex) order of w, which is
@@ -492,30 +496,25 @@ class VertexLabeling:
         # Making a * w links it to w both ways: its -a neighbour is w, and
         # w's a neighbour is a * w; every other neighbour is one letter
         # longer, linked when its own sphere is built or None past the ball.
-        blank = dict.fromkeys(signed)
-        root = blank.copy()
-        entries = [BallEntry(0, Word._from_reduced(()), root)]
-        # The sphere's words, grouped by first letter (0 for the identity).
-        sphere = {0: [((), 0, root)]}
-        pos = 0
+        # The sphere's labels, grouped by first letter (0 for the identity).
+        sphere = {0: [0]}
+        pos = 1
         for _ in range(radius):
             nxt = {}
             for a in signed:
+                forth, back = columns[a], columns[-a]
                 made = nxt[a] = []
-                for first, words in sphere.items():
+                for first, labels in sphere.items():
                     if first == -a:
                         continue
-                    for w, label, neighbors in words:
-                        pos += 1
-                        child = (pos + 1) // 2 if pos % 2 else -(pos // 2)
-                        letters = (a,) + w
-                        around = blank.copy()
-                        around[-a] = label
-                        neighbors[a] = child
-                        made.append((letters, child, around))
-                        entries.append(BallEntry(child, Word._from_reduced(letters), around))
+                    kids = list(map(label_from_position, range(pos, pos + len(labels))))
+                    pos += len(labels)
+                    for label, child in zip(labels, kids):
+                        forth[label - lo] = child
+                        back[child - lo] = label
+                    made += kids
             sphere = nxt
-        return CayleyBall(rank=self.rank, radius=radius, entries=tuple(entries))
+        return CayleyBall(rank=self.rank, radius=radius, columns=columns)
 
 
 def ball_vertex_count(k: int, radius: int) -> int:
@@ -552,21 +551,46 @@ class BallEntry:
 
 @dataclass(frozen=True)
 class CayleyBall:
+    """The reduced words of length <= radius, with their neighbours.
+
+    The ball's labels are exactly lo..-lo (``lo = -(vertices // 2)``), so
+    each signed letter a has one column indexed by label: ``columns[a][n -
+    lo]`` is the label of (letter a) * word(n), or None when that neighbour
+    lies outside the ball.
+    """
+
     rank: int
     radius: int
-    entries: tuple[BallEntry, ...]
+    columns: Mapping[int, list[int | None]]
+
+    @property
+    def lo(self) -> int:
+        return -(len(self.columns[1]) // 2)
 
     def labels(self) -> list[int]:
-        return [e.label for e in self.entries]
+        """Every label of the ball, in position order."""
+        return list(map(label_from_position, range(len(self.columns[1]))))
+
+    @property
+    def entries(self) -> tuple[BallEntry, ...]:
+        """One entry per vertex in position order, built afresh each call."""
+        lo, columns = self.lo, self.columns
+        return tuple(
+            BallEntry(n, Word._from_reduced(letters), {a: col[n - lo] for a, col in columns.items()})
+            for n, letters in zip(self.labels(), _words_from(self.rank, ()))
+        )
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield each tree edge once as (tail label, head label, generator).
 
         The head is the image of the tail under left multiplication by the
         generator, so every edge appears exactly once with a positive letter.
+        Tails come in position order.
         """
-        for e in self.entries:
-            for j in range(1, self.rank + 1):
-                head = e.neighbors[j]
+        lo = self.lo
+        gens = range(1, self.rank + 1)
+        for n in self.labels():
+            for j in gens:
+                head = self.columns[j][n - lo]
                 if head is not None:
-                    yield (e.label, head, j)
+                    yield (n, head, j)

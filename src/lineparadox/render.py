@@ -6,7 +6,7 @@ produce byte-identical output; floats never reach the emitters.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from itertools import chain
 
 from .freegroup import PLUS, WordClass
 from .labeling import CayleyBall
@@ -141,17 +141,16 @@ def line_strip_svg(cells: list[tuple[int, WordClass | None]], rank) -> str:
 
 def cayley_ball_dot(ball: CayleyBall) -> str:
     """DOT digraph of a ball: integer-labeled nodes, generator-labeled edges."""
-    # Labels are distinct, so one sort by label puts the nodes in order, and
-    # each node's edges x1, x2, ... then come out in (tail, generator) order.
-    entries = sorted(ball.entries, key=attrgetter("label"))
-    out = ["digraph cayley_ball {", "  node [shape=circle];"]
-    out += [f'  "{e.label}";' for e in entries]
-    gens = range(1, ball.rank + 1)
-    for e in entries:
-        neighbors = e.neighbors
-        for j in gens:
-            head = neighbors[j]
-            if head is not None:
-                out.append(f'  "{e.label}" -> "{head}" [label="x{j}"];')
-    out.append("}")
-    return "\n".join(out) + "\n"
+    # The columns are indexed by label and the labels are lo..-lo, so index
+    # order is label order and the nodes need no sort.  Each generator's
+    # column gives one edge text per tail ("" where the head lies outside),
+    # and zipping the columns writes each tail's edges x1, x2, ... in turn.
+    labels = range(ball.lo, 1 - ball.lo)
+    columns = [
+        [f'  "{tail}" -> "{head}" [label="x{j}"];\n' if head is not None else ""
+         for tail, head in zip(labels, ball.columns[j])]
+        for j in range(1, ball.rank + 1)
+    ]
+    nodes = "".join([f'  "{n}";\n' for n in labels])
+    edges = "".join(chain.from_iterable(zip(*columns)))
+    return f"digraph cayley_ball {{\n  node [shape=circle];\n{nodes}{edges}}}\n"

@@ -415,6 +415,39 @@ def test_verify_csv_to_file(capsys, tmp_path):
     assert target.read_text() == "class,count\nA,4\nB,4\nC,2\nD,7\n"
 
 
+#: One valid invocation of every subcommand that takes --out.
+OUT_ARGS = {
+    "classify": ("--window", "0..3"),
+    "verify": ("--window", "-5..5"),
+    "plot-fn": ("--window", "0..3", "--word", "x1"),
+    "plot-cayley": ("--radius", "3"),
+    "connect": ("2", "7"),
+    "enumerate": ("--count", "5"),
+    "line-strip": ("--window", "0..3"),
+}
+
+
+def test_out_args_cover_every_subcommand():
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    takes_out = {name for name, p in subparsers.items()
+                 if any("--out" in a.option_strings for a in p._actions)}
+    assert takes_out == set(OUT_ARGS)
+
+
+@pytest.mark.parametrize("target", ["missing/out.txt", "directory"])
+@pytest.mark.parametrize("command", sorted(OUT_ARGS))
+def test_unwritable_out_is_an_input_error(capsys, tmp_path, command, target):
+    # A missing directory, or a directory in place of the file, is refused
+    # in one line with exit 2 (1 means "verification failed"), and no
+    # temporary file stays behind.
+    (tmp_path / "directory").mkdir()
+    path = tmp_path / target
+    code, out, err = run(capsys, command, *OUT_ARGS[command], "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["directory"]
+
+
 # --- budgets and streamed windows --------------------------------------------
 
 
@@ -500,6 +533,19 @@ def test_plot_cayley_dot_bytes_pinned(capsys, k, radius):
     code, out, _ = run(capsys, "plot-cayley", "--k", k, "--radius", radius)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DOT_DIGESTS[k, radius]
+
+
+def test_plot_cayley_builds_no_word_or_entry(capsys, monkeypatch):
+    # The ball is held as neighbour columns: neither a Word nor a BallEntry
+    # is made for any vertex, and the bytes stay pinned.
+    def refuse(*args, **kwargs):
+        raise AssertionError("no per-vertex object may be built")
+
+    monkeypatch.setattr(labeling, "BallEntry", refuse)
+    monkeypatch.setattr(Word, "_from_reduced", refuse)
+    code, out, _ = run(capsys, "plot-cayley", "--k", "3", "--radius", "4")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DOT_DIGESTS["3", "4"]
 
 
 def test_plot_cayley_budget_boundary(capsys, monkeypatch):

@@ -1,7 +1,5 @@
-import random
-
 from lineparadox.freegroup import MINUS, OMEGA, PLUS, WordClass
-from lineparadox.labeling import CayleyBall, VertexLabeling
+from lineparadox.labeling import VertexLabeling
 from lineparadox.render import (
     OVERFLOW_COLOR,
     PALETTE,
@@ -83,9 +81,15 @@ def test_cayley_dot_shape():
 
 
 def test_cayley_dot_orders_by_label_not_position():
+    # The reference sorts the entries, which come in position order, by label.
     ball = VertexLabeling(3).ball(3)
-    entries = list(ball.entries)
-    random.Random(7).shuffle(entries)
-    shuffled = CayleyBall(rank=ball.rank, radius=ball.radius, entries=tuple(entries))
-    assert shuffled.entries != ball.entries
-    assert cayley_ball_dot(shuffled) == cayley_ball_dot(ball)
+    entries = sorted(ball.entries, key=lambda e: e.label)
+    assert [e.label for e in entries] != ball.labels()
+    lines = ["digraph cayley_ball {", "  node [shape=circle];"]
+    lines += [f'  "{e.label}";' for e in entries]
+    lines += [
+        f'  "{e.label}" -> "{e.neighbors[j]}" [label="x{j}"];'
+        for e in entries for j in range(1, 4) if e.neighbors[j] is not None
+    ]
+    lines.append("}")
+    assert cayley_ball_dot(ball) == "\n".join(lines) + "\n"
