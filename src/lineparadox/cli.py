@@ -60,8 +60,9 @@ MAX_GRID_LINES = 100_000
 #: vertex is built.
 MAX_BALL_VERTICES = 100_000
 
-#: Most labels a verify or classify window may hold: the ±10⁶ window, about
-#: 4 s of verify at rank 2.  Wider windows exit 3 before the walk starts.
+#: Most labels a verify or classify window may hold: the ±10⁶ window.  It
+#: bounds the rows classify writes and the labels a failing verify lists;
+#: wider windows exit 3 before the walk starts.
 MAX_WINDOW_LABELS = 2_000_001
 
 #: Most generator pairs --J may name at rank omega, each with its classes,
@@ -210,6 +211,9 @@ def _cmd_plot_fn(args) -> int:
 
 def _check_budget(what: str, need: int, unit: str, limit: int) -> None:
     if need > limit:
+        # A count past 64 bits may have more digits than Python prints.
+        if need.bit_length() > 64:
+            raise BudgetExceededError(f"the {what} needs more {unit} than the limit of {limit}")
         raise BudgetExceededError(f"the {what} needs {need} {unit}, more than the limit of {limit}")
 
 

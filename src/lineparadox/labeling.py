@@ -21,13 +21,14 @@ type runs need no word decoded: the words that share a length and their
 first two letters, and at rank OMEGA also a weight, fill one run of
 consecutive positions, and the window's labels in a run are two ranges
 (:func:`_window_type_runs`, :func:`_omega_type_runs`, :func:`_labels_in`).
-Its words come from :func:`_window_words`, which decodes one word and steps
-a successor through the rest, in position order.  A Cayley ball's labels
-are a contiguous range, so it is held as one neighbour column per signed
-letter, indexed by label.  It is built one sphere at a time from the
-identity, keeping only each sphere's labels: each new word a * w is linked
-to w both ways in the columns as it is made, so no label is encoded,
-decoded or looked up and no word is built.
+Its words come from :func:`_window_words` in label order: a walk decodes one
+word and steps a successor through the rest, and the negative labels, which
+fall as their positions rise, are walked in chunks that are reversed.  A
+Cayley ball's labels are a contiguous range, so it is held as one neighbour
+column per signed letter, indexed by label.  It is built one sphere at a
+time from the identity, keeping only each sphere's labels: each new word
+a * w is linked to w both ways in the columns as it is made, so no label is
+encoded, decoded or looked up and no word is built.
 """
 
 from __future__ import annotations
@@ -406,40 +407,45 @@ def _omega_type_runs(lo: int, hi: int) -> Iterator[tuple]:
                     pos += block
 
 
-# --- window sweeps: one decode, then successor steps -----------------------
+# --- window walks: one decode, then successor steps ------------------------
+
+#: Negative labels a window walk holds at once.
+WINDOW_CHUNK = 4096
 
 
 def _window_words(rank, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yield ``(label, letters)`` once for every label in [lo, hi].
+    """Yield ``(label, letters)`` for n = lo, ..., hi, in label order.
 
-    Only the walk's current word is held, so a walk's memory stays flat in
-    the window size.  The labels fill a run of positions: every position
-    while the window holds both n and -n, then one parity.  The walk decodes
-    the first position and steps the successor of its rank through the run,
-    at most two steps per label, so labels come in position order: rising
-    for n >= 0, falling for n < 0.  ``ParadoxInstance.classify_window``
-    sorts the negative labels into label order a chunk at a time.
+    The labels of one sign fill every other position, so a walk decodes one
+    word and steps the rank's successor two positions per label.  Positive
+    labels rise with their positions and take one walk; negative labels
+    fall, so they are walked WINDOW_CHUNK at a time and each chunk is
+    reversed, and memory stays flat in the window size.  At rank OMEGA the
+    window's heaviest end is weighed before this returns, so a window
+    reaching past the weight limit raises before any word is yielded.
     """
-    if lo > hi:
-        return iter(())
-    m = min(-lo, hi)
-    if m >= 0:
-        # Positions 0..2m hold the labels 0, 1, -1, ..., m, -m.
-        core = chain((0,), chain.from_iterable(zip(range(1, m + 1), range(-1, -m - 1, -1))))
-        if hi > m:
-            tail, skip = range(m + 1, hi + 1), 0  # odd positions from 2m + 1
+    if rank == OMEGA and lo <= hi:
+        _starts_past(max(position_from_label(lo), position_from_label(hi)))
+
+    def every_other(first: int) -> Iterator[tuple[int, ...]]:
+        if rank == OMEGA:
+            words = _omega_words_from(_letters_omega(first))
         else:
-            tail, skip = range(-m - 1, lo - 1, -1), 1  # even positions from 2m + 2
-        first = 0
-    else:
-        core = ()
-        tail, skip = (range(lo, hi + 1) if lo > 0 else range(hi, lo - 1, -1)), 0
-        first = position_from_label(tail[0])
-    if rank == OMEGA:
-        words = _omega_words_from(_letters_omega(first))
-    else:
-        words = _words_from(rank, _letters_finite(rank, first))
-    return chain(zip(core, words), zip(tail, islice(words, skip, None, 2)))
+            words = _words_from(rank, _letters_finite(rank, first))
+        yield from islice(words, None, None, 2)
+
+    top = min(hi, -1)
+    below = (
+        reversed(list(zip(range(b, a - 1, -1), every_other(-2 * b))))
+        for a in range(lo, top + 1, WINDOW_CHUNK)
+        for b in [min(top, a + WINDOW_CHUNK - 1)]
+    )
+    start = max(lo, 1)
+    return chain(
+        chain.from_iterable(below),
+        [(0, ())] if lo <= 0 <= hi else [],
+        zip(range(start, hi + 1), every_other(2 * start - 1)),
+    )
 
 
 class VertexLabeling:

@@ -66,11 +66,9 @@ from .labeling import (
     _omega_type_runs,
     _position_finite,
     _position_omega,
-    _starts_past,
     _window_type_runs,
     _window_words,
     bounded_ball_vertex_count,
-    position_from_label,
 )
 from .permutation import TreePermutation
 from .rigid import PiecewiseRigidMap, as_rational, floor_part
@@ -108,9 +106,6 @@ def _type_word(tau: tuple[tuple[int, ...], bool], s: int) -> tuple[int, ...]:
 
 #: The partition tally of words past the pair limit at rank OMEGA.
 OVERFLOW = "overflow"
-
-#: Labels ``classify_window`` walks and sorts at a time.
-CLASSIFY_CHUNK = 4096
 
 
 def _verdict(
@@ -282,21 +277,12 @@ class ParadoxInstance:
     def classify_window(self, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...], WordClass]]:
         """``(n, letters, class)`` for n = lo, ..., hi, in label order.
 
-        Walks fall through the positions of negative labels, so those are
-        walked in sorted chunks of CLASSIFY_CHUNK labels and the rest in one
-        walk, at flat memory.  At rank OMEGA the heaviest end is weighed
-        before this returns, so a label past the weight limit raises before
-        any row is yielded; finite rank has no limit.
+        The words come from ``labeling._window_words`` at flat memory; at
+        rank OMEGA a window reaching past the weight limit raises before
+        this returns, so before any row is yielded.
         """
-        if self.rank == OMEGA and lo <= hi:
-            _starts_past(max(position_from_label(lo), position_from_label(hi)))
-        below = (
-            sorted(_window_words(self.rank, a, min(hi, -1, a + CLASSIFY_CHUNK - 1)))
-            for a in range(lo, min(hi, -1) + 1, CLASSIFY_CHUNK)
-        )
-        words = chain(chain.from_iterable(below), _window_words(self.rank, max(lo, 0), hi))
         s = self.special
-        return ((n, letters, WordClass(*_classify_letters(letters, s))) for n, letters in words)
+        return ((n, w, WordClass(*_classify_letters(w, s))) for n, w in _window_words(self.rank, lo, hi))
 
     def verify_partition(self, lo: int, hi: int, pair_limit: int | None = None) -> PartitionReport:
         """Every label in [lo, hi] must satisfy exactly one class predicate.

@@ -67,8 +67,8 @@ def test_classify_json_streams_rows(capsys, monkeypatch, tmp_path):
         target = tmp_path / "rows.json"
         assert run(capsys, "classify", *argv, "--out", str(target))[0] == 0
         assert target.read_text() == expected
-    # classify_window walks its window in sorted chunks, so the real one
-    # streams with the writer.
+    # classify_window walks its window in label order a chunk at a time, so
+    # the real one streams with the writer.
     peaks = []
     for count in (1000, 10000):
         tracemalloc.start()
@@ -328,6 +328,22 @@ def test_plot_fn_refuses_oversized_grid(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and "grid lines" in err
+
+
+@pytest.mark.parametrize("word", ["x1^9000", "x1^99999"])
+def test_plot_fn_refuses_huge_span_in_one_short_line(capsys, word):
+    # The image spans need counts of thousands of digits, the second more
+    # than Python converts to a string, so neither count is printed.
+    code, out, err = run(capsys, "plot-fn", "--k", "2", "--word", word, "--window", "0..2")
+    assert (code, out) == (3, "")
+    assert err == "error: the plot needs more grid lines than the limit of 100000\n"
+
+
+def test_refusal_prints_counts_up_to_64_bits():
+    with pytest.raises(cli.BudgetExceededError, match=f"needs {2**64 - 1} labels,"):
+        cli._check_budget("window", 2**64 - 1, "labels", 10)
+    with pytest.raises(cli.BudgetExceededError, match="needs more labels than the limit of 10$"):
+        cli._check_budget("window", 2**64, "labels", 10)
 
 
 @pytest.mark.parametrize("word", ["x1^200000", "x1^1000000000", "x1^60000 X2^60000"])
@@ -621,7 +637,7 @@ def test_classify_refuses_window_crossing_weight_limit_before_any_row(
     monkeypatch.setattr(labeling, "MAX_OMEGA_WEIGHT", 20)
     first = next(islice(labeling._series_starts(), 21, None))  # of weight 21
     n = (first + 1) // 2  # labels n and -n sit at positions >= first
-    near, far = sign * (n - 3 * paradox.CLASSIFY_CHUNK), sign * n
+    near, far = sign * (n - 3 * labeling.WINDOW_CHUNK), sign * n
     assert labeling.position_from_label(far) >= first > labeling.position_from_label(far - sign)
     window = f"{min(near, far)}..{max(near, far)}"
     argv = ("classify", "--k", "omega", "--format", fmt, "--window")

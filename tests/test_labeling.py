@@ -187,10 +187,25 @@ def test_successor_walk_matches_oracle_order():
 def test_window_walk_visits_each_label_once(table2, lo, hi):
     lab = VertexLabeling(2)
     seen = list(_window_words(2, lo, hi))
-    assert sorted(n for n, _ in seen) == list(range(lo, hi + 1))
+    assert [n for n, _ in seen] == list(range(lo, hi + 1))
     for n, letters in seen:
         expected = table2.word_of[n] if n in table2.word_of else lab.word_of_label(n).letters
         assert letters == expected
+
+
+CHUNK = labeling.WINDOW_CHUNK
+
+
+@pytest.mark.parametrize("rank", [2, 3, OMEGA])
+@pytest.mark.parametrize("lo, hi", [
+    (-2 * CHUNK - 7, 30),  # crosses 0 and two chunk boundaries below it
+    (-3 * CHUNK, -1),  # ends exactly on chunk boundaries
+    (-CHUNK - 100, -CHUNK - 1),  # wholly below -CHUNK
+])
+def test_window_walk_yields_label_order_across_chunks(rank, lo, hi):
+    decode = _letters_omega if rank == OMEGA else (lambda pos: _letters_finite(rank, pos))
+    seen = list(_window_words(rank, lo, hi))
+    assert seen == [(n, decode(position_from_label(n))) for n in range(lo, hi + 1)]
 
 
 def _walked_type_counts(rank, lo, hi):
@@ -393,7 +408,7 @@ def test_omega_successor_crosses_length_and_bucket_boundaries():
     (5, 3),
 ])
 def test_omega_window_walk_matches_decode(lo, hi):
-    seen = sorted(_window_words(OMEGA, lo, hi))
+    seen = list(_window_words(OMEGA, lo, hi))
     assert seen == [(n, _letters_omega(position_from_label(n))) for n in range(lo, hi + 1)]
 
 
