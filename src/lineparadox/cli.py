@@ -40,7 +40,7 @@ from .labeling import (
     bounded_ball_vertex_count,
     label_from_position,
 )
-from .paradox import BudgetExceededError, ParadoxInstance, verification_summary
+from .paradox import WORD_BUDGET, BudgetExceededError, ParadoxInstance, verification_summary
 from .permutation import CycleError, TreePermutation, parse_cycles
 from .render import (
     cayley_ball_dot,
@@ -301,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--free-check", type=int, metavar="L", dest="free_check",
                    help="also certify fixed-point freeness for words of length <= L")
-    p.add_argument("--budget", type=int, default=1_000_000,
-                   help="word budget for --free-check (default 1000000)")
+    p.add_argument("--budget", type=int, default=WORD_BUDGET,
+                   help=f"word budget for --free-check (default {WORD_BUDGET})")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("plot-fn", help="SVG graph of a piecewise rigid map on [lo, hi)")

@@ -8,9 +8,11 @@ Vertices are reduced words.  The canonical enumeration from
 
 then turns positions into labels covering all of the integers.  Both
 directions are computed in closed form: for finite rank by counting shorter
-words and lexicographic offsets in base 2k-1, for rank OMEGA from tables of
-the number of reduced words of each length and index sum, kept one column
-per length and grown only as far as a request reads them, up to
+words and lexicographic offsets in base 2k-1, for rank OMEGA by one
+ordered-successor step (:func:`_omega_next`) that encode, decode and the
+type runs all iterate, counting from tables of the number of reduced words
+of each length and index sum, kept one column per length and grown only as
+far as a request reads them, up to
 :data:`MAX_OMEGA_WEIGHT`.  The univariate growth series places the weight
 buckets and gives the weight of a position before any column grows, so
 heavier positions are refused at once.  A labeling holds nothing but its
@@ -242,6 +244,19 @@ def _continuations(r: int, s: int, p: int) -> int:
     return total
 
 
+def _omega_next(after: int, srem: int, prev: int) -> Iterator[tuple[int, int]]:
+    """``(a, count)`` for each letter a that may follow ``prev`` (0: none),
+    in canonical order: by index, x_i before X_i, never the inverse of prev.
+    ``count`` = T(after, srem - |a|, |a|) is the number of ways to finish a
+    word from a on with ``after`` more letters and index sum srem in all."""
+    for i in range(1, srem - after + 1):
+        count = _continuations(after, srem - i, i)
+        if prev != -i:
+            yield i, count
+        if prev != i:
+            yield -i, count
+
+
 def _position_omega(letters: tuple[int, ...]) -> int:
     length = len(letters)
     weight = word_weight(letters)
@@ -251,16 +266,11 @@ def _position_omega(letters: tuple[int, ...]) -> int:
     # but grows first, since column 1 reads it.
     pos = _starts[weight] + sum(_column(r, weight - r)[weight - r] for r in range(length))
     srem = weight - length
-    prev = 0
-    for t, a in enumerate(letters):
-        after = length - t - 1
-        # Letters before a: both signs of each smaller index, then x_|a|
-        # before X_|a|; the inverse of prev is never a candidate.
-        for i in range(1, abs(a)):
-            pos += (1 if i == abs(prev) else 2) * _continuations(after, srem - i, i)
-        if a < 0 and prev != a:
-            pos += _continuations(after, srem + a, -a)
-        prev = a
+    for t, (prev, a) in enumerate(zip((0,) + letters, letters)):
+        for b, count in _omega_next(length - t - 1, srem, prev):
+            if b == a:
+                break
+            pos += count
         srem -= abs(a)
     return pos
 
@@ -314,38 +324,20 @@ def _letters_omega(pos: int) -> tuple[int, ...]:
     weight = bisect_right(_starts, pos) - 1
     r = pos - _starts[weight]
     length = 0
-    while True:
-        count = _column(length, weight - length)[weight - length]
-        if r < count:
-            break
+    while r >= (count := _column(length, weight - length)[weight - length]):
         r -= count
         length += 1
     letters: list[int] = []
     srem = weight - length
     prev = 0
     for t in range(length):
-        after = length - t - 1
-        i = 1
-        while True:
-            c = _continuations(after, srem - i, i)
-            if i == abs(prev):
-                # Only prev itself may follow prev with this index.
-                if r < c:
-                    a = prev
-                    break
-                r -= c
-            elif r < c:
-                a = i
+        for a, count in _omega_next(length - t - 1, srem, prev):
+            if r < count:
                 break
-            elif r < 2 * c:
-                a, r = -i, r - c
-                break
-            else:
-                r -= 2 * c
-            i += 1
+            r -= count
         letters.append(a)
         prev = a
-        srem -= i
+        srem -= abs(a)
     return tuple(letters)
 
 
@@ -355,16 +347,15 @@ def _omega_type_runs(lo: int, hi: int) -> Iterator[tuple]:
     in position order, with tau = (first two letters, whether every letter
     after the first is x_1).
 
-    The positions run through the weight buckets, each bucket through its
-    lengths, each length through its first letters a and each first letter
-    through its second letters c, in the order of the letters.  The words
-    of weight w and length L that start with a, c fill one run of
-    T(L - 2, srem, |c|) positions, where srem = w - L - |a| - |c| is the
-    index sum left for the other L - 2 letters.  Only a * x_1**(L-1) has
-    every later letter x_1, and when c is x_1 and srem is L - 2 it is the
-    whole run.  A bucket, length or first letter that holds no label of the
-    window is stepped over by its size, so only the count columns the
-    window's heaviest word needs grow.
+    The positions run through the weight buckets and each bucket through
+    its lengths.  Within a length, :func:`_omega_next` gives the first
+    letters a in order with the size of each one's block of positions, and
+    within a block the second letters c with the size of each one's run.
+    Only a * x_1**(L-1) has every later letter x_1, and when c is x_1 and
+    the last L - 2 letters have index sum L - 2 it is the whole run.  A
+    bucket, length or first letter that holds no label of the window is
+    stepped over by its size, so only the count columns the window's
+    heaviest word needs grow.
     """
     if lo > hi:
         return
@@ -383,28 +374,21 @@ def _omega_type_runs(lo: int, hi: int) -> Iterator[tuple]:
             if not _count_in(lo, hi, pos, pos + size - 1):
                 pos += size
                 continue
-            for i in range(1, weight - 2 * length + 2):
-                rest = weight - length - i
-                block = _continuations(length - 1, rest, i)
-                for a in (i, -i):
-                    n = _count_in(lo, hi, pos, pos + block - 1)
-                    if length == 1:
-                        if n:
-                            yield ((a,), True), pos, pos + block - 1, n
-                    elif n:
-                        p = pos
-                        for j in range(1, rest - length + 3):
-                            srem = rest - j
-                            run = _continuations(length - 2, srem, j)
-                            for c in (j, -j):
-                                if c != -a:
-                                    # A block the window covers whole needs no intersections.
-                                    hit = run if n == block else _count_in(lo, hi, p, p + run - 1)
-                                    if hit:
-                                        tau = ((a, c), c == 1 and srem == length - 2)
-                                        yield tau, p, p + run - 1, hit
-                                    p += run
-                    pos += block
+            for a, block in _omega_next(length - 1, weight - length, 0):
+                n = _count_in(lo, hi, pos, pos + block - 1)
+                if n and length == 1:
+                    yield ((a,), True), pos, pos + block - 1, n
+                elif n:
+                    p = pos
+                    rest = weight - length - abs(a)
+                    for c, run in _omega_next(length - 2, rest, a):
+                        # A block the window covers whole needs no intersections.
+                        hit = run if n == block else _count_in(lo, hi, p, p + run - 1)
+                        if hit:
+                            tau = ((a, c), c == 1 and rest == length - 1)
+                            yield tau, p, p + run - 1, hit
+                        p += run
+                pos += block
 
 
 # --- window walks: one decode, then successor steps ------------------------

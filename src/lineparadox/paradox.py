@@ -27,11 +27,12 @@ none), so the code writes tau(w) as (w[:2], all of w[1:] is x_s).
 The sweep therefore reads the window only through its type runs: the runs
 of consecutive positions whose words share tau, with the window's labels in
 each (``labeling._window_type_runs`` at finite rank,
-``labeling._omega_type_runs`` at rank OMEGA).  It tallies the labels by
-tau, judges one word per type and scales that verdict by the type's tally.
-Only when some verdict finds a violation are the runs generated again, and
-the failing runs' labels read off their positions, so no word is decoded
-and memory stays flat in the window size whether the sweep passes or fails.
+``labeling._omega_type_runs`` at rank OMEGA).  In one pass over the runs it
+judges one word per type, the first time a run of that type arrives, and
+adds each run's labels to the partition tally its type's verdict names; a
+failing run's labels are read off its positions in the same pass.  So no
+word is decoded and memory stays flat in the window size whether the sweep
+passes or fails.
 
 Pulled-back membership is computed on the word itself, classifying
 ``x_j^-1 * w_n`` directly.  That equals classifying the integer image of the
@@ -43,7 +44,6 @@ astronomically large integer labels of heavy words.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain, islice
 from typing import Iterable, Iterator
 
@@ -106,6 +106,10 @@ def _type_word(tau: tuple[tuple[int, ...], bool], s: int) -> tuple[int, ...]:
 
 #: The partition tally of words past the pair limit at rank OMEGA.
 OVERFLOW = "overflow"
+
+#: Most words ``certify_free_action`` (verify --free-check) may check by
+#: default; more raise BudgetExceededError before any word is built.
+WORD_BUDGET = 1_000_000
 
 
 def _verdict(
@@ -324,45 +328,43 @@ class ParadoxInstance:
 
         The partition is checked over the pairs in ``classes`` (not at all
         when it is empty) and the reassembly over the pairs in ``pulls``.
-        The labels are tallied by their type tau from the runs of positions
-        each type fills at either rank, and the ``_verdict`` of each type's
-        shortest word scaled by the tally gives the counts (the module
-        docstring says why one word speaks for its type).  Only if some
-        verdict fails are the runs generated again, and each failing run's
-        labels listed from its positions, with no word decoded.  Runs come
-        in position order, so violations are sorted by n at the end and the
-        lists read as an ascending sweep would emit them.
+        The runs of positions each type tau fills come in one pass at either
+        rank.  The first run of a type judges the ``_verdict`` of its
+        shortest word (the module docstring says why one word speaks for its
+        type), memoised for the type's later runs, and each run adds its
+        labels to the partition tally that verdict names.  A failing run's
+        labels are listed from its positions in the same pass, with no word
+        decoded, and each pair covers the labels it does not list.
+        Runs come in position order, so violations are sorted by n at the
+        end and the lists read as an ascending sweep would emit them.
         """
         s = self.special
         checks = _classes(classes)
         top = classes[-1] if self.rank == OMEGA and checks else None
-        runs = _omega_type_runs if self.rank == OMEGA else partial(_window_type_runs, self.rank)
-        tallies: dict[tuple[tuple[int, ...], bool], int] = {}
-        for t, _, _, n in runs(lo, hi):
-            tallies[t] = tallies.get(t, 0) + n
-        verdicts = {t: _verdict(_type_word(t, s), s, checks, top, pulls) for t in tallies}
+        k = self.rank
+        runs = _omega_type_runs(lo, hi) if k == OMEGA else _window_type_runs(k, lo, hi)
+        verdicts: dict[tuple[tuple[int, ...], bool], tuple] = {}
         tally = dict.fromkeys(checks, 0)
         tally[OVERFLOW] = 0
-        covered = {j: 0 for j in pulls}
-        for t, (counted, _, pull_reasons) in verdicts.items():
-            if counted is not None:
-                tally[counted] += tallies[t]
-            for j, pull_reason in zip(pulls, pull_reasons):
-                if pull_reason is None:
-                    covered[j] += tallies[t]
+        # Each pair covers every label but those it lists as violations.
+        covered = dict.fromkeys(pulls, max(0, hi - lo + 1))
         part_violations: list[tuple[int, str]] = []
         reas_violations: list[tuple[int, int, str]] = []
-        if any(v[1] is not None or any(v[2]) for v in verdicts.values()):
-            for t, p, q, _ in runs(lo, hi):
-                _, reason, pull_reasons = verdicts[t]
-                if reason is None and not any(pull_reasons):
-                    continue
-                for n in chain(*_labels_in(lo, hi, p, q)):
-                    if reason is not None:
-                        part_violations.append((n, reason))
-                    for j, pull_reason in zip(pulls, pull_reasons):
-                        if pull_reason is not None:
-                            reas_violations.append((j, n, pull_reason))
+        for t, p, q, n in runs:
+            if t not in verdicts:
+                verdicts[t] = _verdict(_type_word(t, s), s, checks, top, pulls)
+            counted, reason, pull_reasons = verdicts[t]
+            if counted is not None:
+                tally[counted] += n
+            if reason is None and not any(pull_reasons):
+                continue
+            for m in chain(*_labels_in(lo, hi, p, q)):
+                if reason is not None:
+                    part_violations.append((m, reason))
+                for j, pull_reason in zip(pulls, pull_reasons):
+                    if pull_reason is not None:
+                        covered[j] -= 1
+                        reas_violations.append((j, m, pull_reason))
         counts = {c.label(self.rank): tally[c] for c in checks}
         if top is not None:
             counts[OVERFLOW] = tally[OVERFLOW]
@@ -379,7 +381,7 @@ class ParadoxInstance:
         max_length: int,
         lo: int,
         hi: int,
-        word_budget: int = 1_000_000,
+        word_budget: int = WORD_BUDGET,
         pair_limit: int | None = None,
     ) -> FreeActionReport:
         """Check that every nonempty word up to the given length acts with no
@@ -428,7 +430,7 @@ def verification_summary(
     hi: int,
     pair_limit: int | None = None,
     free_check: int | None = None,
-    word_budget: int = 1_000_000,
+    word_budget: int = WORD_BUDGET,
 ) -> dict:
     """The combined verification record serialized by the command line."""
     pairs = instance.pairs(pair_limit)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import pairwise
 from math import gcd
 from random import Random
 from typing import NamedTuple
@@ -109,13 +110,10 @@ class PiecewiseRigidMap:
         The left limit at n is image(n-1) + 1 and the value is image(n), so a
         jump happens exactly when those differ.  Between integers the map is
         an exact translation, so this list is the entire discontinuity set in
-        the window.
+        the window.  Each image of lo - 1, ..., hi is computed once.
         """
-        return [
-            n
-            for n in range(lo, hi + 1)
-            if self.image_of_integer(n) - self.image_of_integer(n - 1) != 1
-        ]
+        images = pairwise(map(self.image_of_integer, range(lo - 1, hi + 1)))
+        return [n for n, (left, value) in enumerate(images, lo) if value - left != 1]
 
     def __repr__(self) -> str:
         return f"PiecewiseRigidMap[{self.permutation!r}]"

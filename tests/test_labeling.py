@@ -383,6 +383,30 @@ def test_count_tables_match_recursive_count():
                 assert _continuations(r, s, prev) == oracle.tail_count(r, s, prev), (r, s, prev)
 
 
+def test_omega_next_orders_letters_and_counts_continuations():
+    # One step of the canonical order: after prev, every letter but -prev,
+    # by index with x_i before X_i, each with its continuation count, and
+    # the counts add up to the words that follow prev.
+    _grow_columns(25)
+    for prev in (0, 1, -1, 2, -2, 3, -3):
+        for after in range(6):
+            for srem in range(after, after + 15):
+                steps = list(labeling._omega_next(after, srem, prev))
+                letters = [a for a, _ in steps]
+                keys = [(abs(a), a < 0) for a in letters]
+                assert keys == sorted(set(keys)), (prev, after, srem)
+                assert -prev not in letters
+                indices = range(1, srem - after + 1)
+                assert set(letters) == {a for i in indices for a in (i, -i)} - {-prev}
+                for a, count in steps:
+                    assert count == _continuations(after, srem - abs(a), abs(a)), (a, after, srem)
+                total = sum(count for _, count in steps)
+                if prev:
+                    assert total == _continuations(after + 1, srem, abs(prev)), (prev, after, srem)
+                else:
+                    assert total == labeling._cols[after + 1][srem], (after, srem)
+
+
 def test_omega_successor_matches_oracle_order():
     words = oracle.omega_words(12)
     assert list(islice(_omega_words_from(()), len(words))) == words

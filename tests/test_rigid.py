@@ -139,6 +139,23 @@ def test_discontinuities_match_one_sided_limits(f_sigma, f_cycle, lab2):
             assert continuous == (n not in jumps)
 
 
+@pytest.mark.parametrize("lo, hi", [(-1, 7), (3, 3), (-20, 40)])
+def test_discontinuities_apply_once_per_image(monkeypatch, f_cycle, lo, hi):
+    image = {n: f_cycle.image_of_integer(n) for n in range(lo - 1, hi + 1)}
+    calls = []
+    apply = CyclePermutation.apply
+
+    def counted(self, n):
+        calls.append(n)
+        return apply(self, n)
+
+    monkeypatch.setattr(CyclePermutation, "apply", counted)
+    jumps = f_cycle.discontinuities_in_window(lo, hi)
+    assert len(calls) == hi - lo + 2
+    assert sorted(calls) == list(range(lo - 1, hi + 1))
+    assert jumps == [n for n in range(lo, hi + 1) if image[n] - image[n - 1] != 1]
+
+
 # --- composition -------------------------------------------------------------
 
 
