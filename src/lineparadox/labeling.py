@@ -9,10 +9,9 @@ Vertices are reduced words.  The canonical enumeration from
 then turns positions into labels covering all of the integers.  Both
 directions are computed in closed form: for finite rank by counting shorter
 words and lexicographic offsets in base 2k-1, for rank OMEGA by one
-ordered-successor step (:func:`_omega_next`) that encode, decode and the
-type runs all iterate, counting from tables of the number of reduced words
-of each length and index sum, kept one column per length and grown only as
-far as a request reads them, up to
+ordered-successor step (:func:`_omega_next`), shared by encode, decode
+and the type runs, over counts of reduced words by length and index sum,
+one column per length grown only as far as a request reads it, up to
 :data:`MAX_OMEGA_WEIGHT`.  The univariate growth series places the weight
 buckets and gives the weight of a position before any column grows, so
 heavier positions are refused at once.  A labeling holds nothing but its
@@ -244,17 +243,21 @@ def _continuations(r: int, s: int, p: int) -> int:
     return total
 
 
-def _omega_next(after: int, srem: int, prev: int) -> Iterator[tuple[int, int]]:
+def _omega_next(after: int, srem: int, prev: int, until: int = 0) -> Iterator[tuple[int, int]]:
     """``(a, count)`` for each letter a that may follow ``prev`` (0: none),
     in canonical order: by index, x_i before X_i, never the inverse of prev.
     ``count`` = T(after, srem - |a|, |a|) is the number of ways to finish a
-    word from a on with ``after`` more letters and index sum srem in all."""
+    word from a on with ``after`` more letters and index sum srem in all.
+    The letters stop before ``until`` (0: none), whose count is not read."""
     for i in range(1, srem - after + 1):
-        count = _continuations(after, srem - i, i)
-        if prev != -i:
-            yield i, count
-        if prev != i:
-            yield -i, count
+        count = None
+        for a in (i, -i):
+            if a == until:
+                return
+            if a != -prev:
+                if count is None:
+                    count = _continuations(after, srem - i, i)
+                yield a, count
 
 
 def _position_omega(letters: tuple[int, ...]) -> int:
@@ -267,9 +270,7 @@ def _position_omega(letters: tuple[int, ...]) -> int:
     pos = _starts[weight] + sum(_column(r, weight - r)[weight - r] for r in range(length))
     srem = weight - length
     for t, (prev, a) in enumerate(zip((0,) + letters, letters)):
-        for b, count in _omega_next(length - t - 1, srem, prev):
-            if b == a:
-                break
+        for _, count in _omega_next(length - t - 1, srem, prev, a):
             pos += count
         srem -= abs(a)
     return pos

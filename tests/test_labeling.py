@@ -407,6 +407,24 @@ def test_omega_next_orders_letters_and_counts_continuations():
                     assert total == labeling._cols[after + 1][srem], (after, srem)
 
 
+def test_omega_next_stops_before_until_without_reading_its_count(monkeypatch):
+    # Encoding a letter sums the counts of the letters before it: the step
+    # stops there and reads each index's count once, none for until's index
+    # unless x_i comes before until = X_i.
+    _grow_columns(20)
+    calls = []
+    real = labeling._continuations
+    monkeypatch.setattr(labeling, "_continuations", lambda r, s, p: calls.append(p) or real(r, s, p))
+    for prev in (0, 1, -1, 2, -2, 3, -3):
+        for after in range(4):
+            for srem in range(after, after + 10):
+                steps = list(labeling._omega_next(after, srem, prev))
+                for t, (until, _) in enumerate(steps):
+                    calls.clear()
+                    assert list(labeling._omega_next(after, srem, prev, until)) == steps[:t]
+                    assert calls == sorted({abs(a) for a, _ in steps[:t]}), (prev, after, srem, until)
+
+
 def test_omega_successor_matches_oracle_order():
     words = oracle.omega_words(12)
     assert list(islice(_omega_words_from(()), len(words))) == words

@@ -362,7 +362,7 @@ _TYPE_MUTATIONS = {
 }
 
 
-@pytest.mark.parametrize("mutation", sorted(_TYPE_MUTATIONS))
+@pytest.mark.parametrize("mutation", [None, *sorted(_TYPE_MUTATIONS)])
 @pytest.mark.parametrize("rank, limit, lo, hi", [
     (2, None, -300, 200), (3, None, -150, 250), (OMEGA, 3, -200, 150), (OMEGA, 10, -60, 90),
 ])
@@ -371,16 +371,30 @@ def test_sweep_equals_per_label_verdicts_under_type_mutations(
 ):
     # Broken predicates that still read only the type make violations; the
     # tally must scale them and the sweep list them as a per-label sweep
-    # does.
-    real = paradox._is_member
-    mutate = _TYPE_MUTATIONS[mutation]
-    monkeypatch.setattr(paradox, "_is_member", lambda *args: mutate(real, *args))
+    # does.  Passing or failing, the sweep is one pass: the runs are
+    # generated once and each type is judged once, when its first run
+    # arrives.
+    if mutation:
+        real = paradox._is_member
+        mutate = _TYPE_MUTATIONS[mutation]
+        monkeypatch.setattr(paradox, "_is_member", lambda *args: mutate(real, *args))
     inst = ParadoxInstance(rank)
     pairs = inst.pairs(limit)
-    part, reas = inst._sweep(lo, hi, pairs, tuple(pairs))
     expected = _per_label_sweep(inst, lo, hi, pairs)
+    passes, judged = [], []
+
+    def counted(runs):
+        return lambda *args: passes.append(args) or runs(*args)
+
+    for name in ("_window_type_runs", "_omega_type_runs"):
+        monkeypatch.setattr(paradox, name, counted(getattr(paradox, name)))
+    verdict = paradox._verdict
+    monkeypatch.setattr(paradox, "_verdict", lambda w, *args: judged.append(w) or verdict(w, *args))
+    part, reas = inst._sweep(lo, hi, pairs, tuple(pairs))
     assert (part.counts, reas.covered, part.violations, reas.violations) == expected
-    assert part.violations or reas.violations
+    assert bool(mutation) == bool(part.violations or reas.violations)
+    assert len(passes) == 1
+    assert judged and len(judged) == len(set(judged))
 
 
 @pytest.mark.parametrize("rank, limit, lo, hi", [
@@ -407,38 +421,6 @@ def test_failing_sweep_decodes_nothing(monkeypatch, rank, limit, lo, hi):
     part, reas = inst._sweep(lo, hi, pairs, tuple(pairs))
     assert (part.counts, reas.covered, part.violations, reas.violations) == expected
     assert part.violations or reas.violations
-
-
-@pytest.mark.parametrize("rank, limit, lo, hi", [
-    (2, None, -300, 200), (3, None, 10**60 - 60, 10**60 + 60), (OMEGA, 3, -200, 150),
-])
-@pytest.mark.parametrize("mutation", [None, "every plus class"])
-def test_sweep_reads_runs_once_and_judges_each_type_once(
-    monkeypatch, mutation, rank, limit, lo, hi
-):
-    # One pass over the runs, passing or failing: the runs are generated
-    # once and each type is judged once, when its first run arrives.
-    if mutation:
-        real = paradox._is_member
-        mutate = _TYPE_MUTATIONS[mutation]
-        monkeypatch.setattr(paradox, "_is_member", lambda *args: mutate(real, *args))
-    inst = ParadoxInstance(rank)
-    pairs = inst.pairs(limit)
-    expected = _per_label_sweep(inst, lo, hi, pairs)
-    passes, judged = [], []
-
-    def counted(runs):
-        return lambda *args: passes.append(args) or runs(*args)
-
-    for name in ("_window_type_runs", "_omega_type_runs"):
-        monkeypatch.setattr(paradox, name, counted(getattr(paradox, name)))
-    verdict = paradox._verdict
-    monkeypatch.setattr(paradox, "_verdict", lambda w, *args: judged.append(w) or verdict(w, *args))
-    part, reas = inst._sweep(lo, hi, pairs, tuple(pairs))
-    assert (part.counts, reas.covered, part.violations, reas.violations) == expected
-    assert bool(mutation) == bool(part.violations or reas.violations)
-    assert len(passes) == 1
-    assert judged and len(judged) == len(set(judged))
 
 
 def _traced(fn):
