@@ -7,8 +7,12 @@ Vertices are reduced words.  The canonical enumeration from
     position 2n -> label -n (n >= 1)
 
 then turns positions into labels covering all of the integers.  Both
-directions are computed in closed form: for finite rank by counting shorter
-words and lexicographic offsets in base 2k-1, for rank OMEGA by one
+directions are computed in closed form.  For finite rank a word's letters
+are the base-(2k-1) digits of its offset among the words of its length, each
+the letter's rank among those that may follow the one before; shorter words
+are counted in closed form, and over :data:`SPLIT_DIGITS` digits are joined
+and split by halves, one multiply or divmod per cut, so the cost is
+near-linear in the length.  For rank OMEGA it is computed by one
 ordered-successor step (:func:`_omega_next`), shared by encode, decode
 and the type runs, over counts of reduced words by length and index sum,
 one column per length grown only as far as a request reads it, up to
@@ -34,6 +38,7 @@ encoded, decoded or looked up and no word is built.
 
 from __future__ import annotations
 
+import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -72,55 +77,91 @@ def position_from_label(n: int) -> int:
     return 2 * n - 1 if n > 0 else -2 * n
 
 
-def _letter_rank(a: int) -> int:
-    return (abs(a) - 1) * 2 + (1 if a < 0 else 0)
+# --- finite rank: digits in base 2k - 1 -------------------------------------
+#
+# x_i has rank 2i - 2 and X_i rank 2i - 1, so d ^ 1 is the rank of the
+# inverse of the letter of rank d.  A letter's digit is its rank, less one
+# when it comes after the inverse of the letter before it.
+
+#: Digits joined or split one at a time; longer runs are cut in half.
+SPLIT_DIGITS = 128
 
 
-def _letter_from_rank(d: int) -> int:
-    j = d // 2 + 1
-    return j if d % 2 == 0 else -j
+def _power(base: int, e: int, powers: dict[int, int]) -> int:
+    """base**e, kept in ``powers`` for one encode or decode."""
+    if e not in powers:
+        powers[e] = base**e
+    return powers[e]
+
+
+def _join(digits: list[int], base: int, powers: dict[int, int]) -> int:
+    """The number with these base-``base`` digits, most significant first."""
+    n = len(digits)
+    if n <= SPLIT_DIGITS:
+        r = 0
+        for d in digits:
+            r = r * base + d
+        return r
+    h = n // 2
+    high = _join(digits[:h], base, powers)
+    return high * _power(base, n - h, powers) + _join(digits[h:], base, powers)
+
+
+def _split(r: int, n: int, base: int, powers: dict[int, int]) -> list[int]:
+    """The n base-``base`` digits of r, most significant first; the first
+    takes all that lies above base**(n - 1)."""
+    if n <= SPLIT_DIGITS:
+        digits = []
+        for _ in range(n - 1):
+            r, d = divmod(r, base)
+            digits.append(d)
+        digits.append(r)
+        digits.reverse()
+        return digits
+    h = n // 2
+    high, low = divmod(r, _power(base, n - h, powers))
+    return _split(high, h, base, powers) + _split(low, n - h, base, powers)
 
 
 def _position_finite(k: int, letters: tuple[int, ...]) -> int:
-    length = len(letters)
-    if length == 0:
-        return 0
-    base = 2 * k - 1
-    pos = 1
-    block = 2 * k
-    for _ in range(1, length):
-        pos += block
-        block *= base
-    r = _letter_rank(letters[0])
-    for prev, cur in zip(letters, letters[1:]):
-        d = _letter_rank(cur)
-        if d > _letter_rank(-prev):
-            d -= 1
-        r = r * base + d
-    return pos + r
+    """The position of a reduced word at rank k.  The words shorter than L
+    number b**(L-1) + 2 * (b**(L-2) + ... + 1) with b = 2k - 1, so the
+    digits, plus 1 for the first and 2 for the rest, read in base b are the
+    position."""
+    skip = 2 * k  # no rank is ruled out before the first letter
+    digits = []
+    for a in letters:
+        d = 2 * a - 2 if a > 0 else -2 * a - 1
+        digits.append(d - (d > skip) + 2)
+        skip = d ^ 1
+    if digits:
+        digits[0] -= 1
+    return _join(digits, 2 * k - 1, {})
 
 
 def _letters_finite(k: int, pos: int) -> tuple[int, ...]:
+    """The reduced word at position ``pos`` at rank k.  Its length L has
+    first = 1 + 2k(b**(L-1) - 1)/(b - 1) <= pos, with b = 2k - 1, that is
+    b**(L-1) <= q < b**L for q = (pos - 1)(b - 1)/(2k) + 1 rounded down."""
     if pos == 0:
         return ()
     base = 2 * k - 1
-    length = 1
-    start = 1
-    block = 2 * k
-    while pos >= start + block:
-        start += block
-        block *= base
-        length += 1
-    r = pos - start
-    weight = base ** (length - 1)
-    d, r = divmod(r, weight)
-    letters = [_letter_from_rank(d)]
-    for _ in range(length - 1):
-        weight //= base
-        d, r = divmod(r, weight)
-        if d >= _letter_rank(-letters[-1]):
-            d += 1
-        letters.append(_letter_from_rank(d))
+    q = (pos - 1) * (base - 1) // (2 * k) + 1
+    e = int(math.log(q, base))  # rounding can miss by one either way
+    top = base**e
+    while top > q:
+        top //= base
+        e -= 1
+    while top * base <= q:
+        top *= base
+        e += 1
+    first = 1 + 2 * k * (top - 1) // (base - 1)
+    letters = []
+    skip = 2 * k
+    for d in _split(pos - first, e + 1, base, {}):
+        d += d >= skip
+        letters.append(~(d >> 1) if d & 1 else (d >> 1) + 1)
+        skip = d ^ 1
     return tuple(letters)
 
 

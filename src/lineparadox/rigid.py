@@ -15,6 +15,7 @@ share a backing form, and a plain product n -> p(q(n)) otherwise.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import pairwise
@@ -208,26 +209,37 @@ def rigidity_audit(
     as x -> x + s with s = image[n] - n, and (x2 + s) - (x1 + s) = x2 - x1,
     so no pair served from them can fail; only ``f.eval`` can depart from
     the model, and the tie compares the two on every piece of the window.
+
+    The samples are drawn only if some integer of [lo, hi) fails its round
+    trip.  A sample at n fails only when preimage[image[n]] != n, which the
+    exhaustive loop checks for every n the draws come from; two samples
+    collide only when some n1 != n2 share an image m, and preimage[m] then
+    differs from one of them.  So when every integer comes back no draw can
+    add a witness, and skipping them leaves the report unchanged.
     """
     if lo >= hi:
         raise ValueError(f"audit window must satisfy lo < hi, got [{lo}, {hi}]")
     rng = Random(seed)
+    if operator.index(samples) < 0:  # a float raises TypeError
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     report = RigidityReport(window=(lo, hi), samples=samples)
     bijection, slope = report.bijection_failures, report.slope_failures
 
     image, preimage = _image_tables(f, lo, hi)
+    every_back = True
     for n in range(lo, hi):
         y, x = image[n], n + _HALF
         back = preimage[y]
         if back != n:
             bijection.append((n, y, back))
+            every_back = False
         if f.eval(x) != y + _HALF:
             slope.append((x, f.eval(x), y + _HALF))
         if f.eval_inverse(y + _HALF) != back + _HALF:
             bijection.append((y + _HALF, f.eval_inverse(y + _HALF), back + _HALF))
 
     seen: dict[tuple[int, int, int], int] = {}
-    for _ in range(samples):
+    for _ in range(0 if every_back else samples):  # see the docstring
         n = rng.randrange(lo, hi)
         den = rng.randrange(2, 1000)
         r = rng.randrange(0, den)

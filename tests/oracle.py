@@ -79,6 +79,63 @@ def zigzag_label(pos):
     return (pos + 1) // 2 if pos % 2 == 1 else -(pos // 2)
 
 
+def _letter_rank(a):
+    return (abs(a) - 1) * 2 + (1 if a < 0 else 0)
+
+
+def _letter_from_rank(d):
+    j = d // 2 + 1
+    return j if d % 2 == 0 else -j
+
+
+def finite_position(k, letters):
+    """Position of a reduced word at rank k, one letter at a time: the
+    shorter words counted block by block, then the word's offset built in
+    base 2k - 1 by one multiply-add per letter."""
+    length = len(letters)
+    if length == 0:
+        return 0
+    base = 2 * k - 1
+    pos = 1
+    block = 2 * k
+    for _ in range(1, length):
+        pos += block
+        block *= base
+    r = _letter_rank(letters[0])
+    for prev, cur in zip(letters, letters[1:]):
+        d = _letter_rank(cur)
+        if d > _letter_rank(-prev):
+            d -= 1
+        r = r * base + d
+    return pos + r
+
+
+def finite_letters(k, pos):
+    """The reduced word at a position at rank k, one letter at a time: the
+    length found block by block, then one divmod per letter."""
+    if pos == 0:
+        return ()
+    base = 2 * k - 1
+    length = 1
+    start = 1
+    block = 2 * k
+    while pos >= start + block:
+        start += block
+        block *= base
+        length += 1
+    r = pos - start
+    weight = base ** (length - 1)
+    d, r = divmod(r, weight)
+    letters = [_letter_from_rank(d)]
+    for _ in range(length - 1):
+        weight //= base
+        d, r = divmod(r, weight)
+        if d >= _letter_rank(-letters[-1]):
+            d += 1
+        letters.append(_letter_from_rank(d))
+    return tuple(letters)
+
+
 class LabelTable:
     """label <-> word lookup built from a brute-force enumeration."""
 

@@ -1,5 +1,6 @@
 import gc
 import random
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -31,6 +32,7 @@ from lineparadox.labeling import (
     _letters_finite,
     _letters_omega,
     _omega_type_runs,
+    _position_finite,
     _position_omega,
     _window_type_runs,
     _window_words,
@@ -154,6 +156,76 @@ def test_round_trip_words_first():
         encode = VertexLabeling(rank)
         for w in enumerate_words(rank, 2000):
             assert decode.word_of_label(encode.label_of_word(w)) == w
+
+
+# --- finite-rank codec against the per-letter loops -------------------------
+
+
+def _random_word(rng, k, length):
+    word = []
+    while len(word) < length:
+        a = rng.choice([i for i in range(-k, k + 1) if i])
+        if not word or a != -word[-1]:
+            word.append(a)
+    return tuple(word)
+
+
+def _check_codec(k, word):
+    pos = oracle.finite_position(k, word)
+    assert _position_finite(k, word) == pos
+    assert _letters_finite(k, pos) == word
+    assert oracle.finite_letters(k, pos) == word
+
+
+@pytest.mark.parametrize("k", [2, 3, 7])
+def test_finite_codec_matches_per_letter_loops(k):
+    rng = random.Random(k)
+    for _ in range(400):
+        _check_codec(k, _random_word(rng, k, rng.randrange(201)))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_finite_codec_matches_oracle_table(k):
+    for pos, word in enumerate(oracle.all_words(k, 6)):
+        assert _position_finite(k, word) == pos == oracle.finite_position(k, word)
+        assert _letters_finite(k, pos) == word
+
+
+@pytest.mark.parametrize("k", [2, 3, 7])
+def test_finite_codec_at_the_split_threshold(k):
+    rng = random.Random(100 + k)
+    split = labeling.SPLIT_DIGITS
+    for length in (split - 1, split, split + 1, 2 * split, 2 * split + 1, 5 * split + 3):
+        for word in ((1,) * length, (-k,) * length, _random_word(rng, k, length)):
+            _check_codec(k, word)
+        # The first and last words of the length, and the last of the one before.
+        first = ball_vertex_count(k, length - 1)
+        for pos in (first - 1, first, ball_vertex_count(k, length) - 1):
+            assert _position_finite(k, _letters_finite(k, pos)) == pos
+            assert _letters_finite(k, pos) == oracle.finite_letters(k, pos)
+
+
+def test_finite_codec_on_long_words():
+    # x1**L is the first word of length L and X2**L the last, at rank 2.
+    # The per-letter encode pins each position, so the decode is pinned too.
+    cases = [
+        ((1,) * 99_999, ball_vertex_count(2, 99_998)),
+        ((-2,) * 50_000, ball_vertex_count(2, 50_000) - 1),
+        (_random_word(random.Random(7), 2, 100_000), None),
+    ]
+    for word, closed_form in cases:
+        pos = oracle.finite_position(2, word)
+        assert closed_form in (None, pos)
+        assert _position_finite(2, word) == pos
+        assert _letters_finite(2, pos) == word
+
+
+def test_finite_codec_is_near_linear_on_long_words():
+    # The per-letter loops take seconds here; by halves it is a fraction of one.
+    word = _random_word(random.Random(8), 2, 100_000)
+    t0 = time.perf_counter()
+    assert _letters_finite(2, _position_finite(2, word)) == word
+    assert time.perf_counter() - t0 < 2.0
 
 
 # --- window walker -----------------------------------------------------------

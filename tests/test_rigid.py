@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from lineparadox import rigid
 from lineparadox.freegroup import Word, parse_word
 from lineparadox.labeling import VertexLabeling
 from lineparadox.permutation import (
@@ -473,3 +474,45 @@ def test_integer_samples_report_sample_witnesses():
 def test_integer_samples_match_fraction_samples_on_c8_maps(lab2):
     for f in _c8_maps(lab2):
         assert _same_audit(f, -50, 50, 10_000, 5).passed
+
+
+def test_rigidity_audit_refuses_negative_samples_before_any_table(monkeypatch, f_sigma):
+    assert rigidity_audit(f_sigma, -5, 5, samples=0).to_dict()["samples"] == 0
+
+    def no_table(*args):
+        raise AssertionError("a refused audit must build no table")
+
+    monkeypatch.setattr(rigid, "_image_tables", no_table)
+    with pytest.raises(ValueError, match="samples"):
+        rigidity_audit(f_sigma, -5, 5, samples=-7)
+    with pytest.raises(TypeError):
+        rigidity_audit(f_sigma, -5, 5, samples=1.5)
+
+
+def _counted_audit(monkeypatch, f, lo, hi, samples, seed):
+    """The audit and the number of draws it made from its ``Random``."""
+    draws = []
+
+    class Counting(random.Random):
+        def randrange(self, *args):
+            draws.append(args)
+            return super().randrange(*args)
+
+    monkeypatch.setattr(rigid, "Random", Counting)
+    return rigidity_audit(f, lo, hi, samples=samples, seed=seed), len(draws)
+
+
+def test_passing_audit_makes_no_draw(monkeypatch, lab2):
+    for f in _c8_maps(lab2):
+        report, draws = _counted_audit(monkeypatch, f, -50, 50, 10_000, 5)
+        assert report.passed and draws == 0
+
+
+@pytest.mark.parametrize("make, lo, hi, samples, seed", [
+    (_NotInjective, 0, 3, 800, 1),
+    (_WrongInverse, -50, 50, 2000, 3),
+    (_HalfWrongInverse, -30, 30, 2000, 7),
+])
+def test_failing_round_trip_draws_every_sample(monkeypatch, make, lo, hi, samples, seed):
+    report, draws = _counted_audit(monkeypatch, PiecewiseRigidMap(make()), lo, hi, samples, seed)
+    assert not report.passed and draws == 3 * samples
