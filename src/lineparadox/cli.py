@@ -269,11 +269,9 @@ def _cmd_enumerate(args) -> int:
 def _cmd_line_strip(args) -> int:
     lo, hi = args.window
     _check_budget("line strip", hi - lo + 1, "cells", MAX_STRIP_CELLS)
-    limit = args.J if args.k == OMEGA else None
-    cells = [
-        (n, None if limit is not None and cls.pair > limit else cls)
-        for n, _, cls in ParadoxInstance(args.k).classify_window(lo, hi)
-    ]
+    inst = ParadoxInstance(args.k)
+    pairs = inst.pairs(args.J if args.k == OMEGA else None)
+    cells = [(n, cls if cls.pair in pairs else None) for n, _, cls in inst.classify_window(lo, hi)]
     _emit(line_strip_svg(cells, args.k), args.out)
     return 0
 

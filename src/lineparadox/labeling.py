@@ -24,8 +24,9 @@ random access keeps no state between calls and its memory stays flat
 however many labels it visits.  A window is read in one of two ways.  Its
 type runs need no word decoded: the words that share a length and their
 first two letters, and at rank OMEGA also a weight, fill one run of
-consecutive positions, and the window's labels in a run are two ranges
-(:func:`_window_type_runs`, :func:`_omega_type_runs`, :func:`_labels_in`).
+consecutive positions, and the window's labels in a run are two ranges; one
+walk serves both ranks and steps over the blocks that hold no such label
+(:func:`_type_runs`, :func:`_labels_in`).
 Its words come from :func:`_window_words` in label order: a walk decodes one
 word and steps a successor through the rest, and the negative labels, which
 fall as their positions rise, are walked in chunks that are reversed.  A
@@ -179,44 +180,6 @@ def _count_in(lo: int, hi: int, p: int, q: int) -> int:
     """The number of labels of [lo, hi] at the positions p..q."""
     pos, neg = _labels_in(lo, hi, p, q)
     return max(0, pos.stop - pos.start) + max(0, neg.stop - neg.start)
-
-
-def _window_type_runs(k: int, lo: int, hi: int) -> Iterator[tuple]:
-    """The labels of [lo, hi] at finite rank k by the type of their words,
-    with no word decoded: ``(tau, p, q, n)`` in position order for each run
-    of positions p..q whose words share the type tau = (first two letters,
-    whether every letter after the first is x_k) and hold n > 0 labels of
-    the window.
-
-    The words of length L >= 2 that start with a, c fill one run of
-    (2k-1)**(L-2) positions, and the runs follow each other in the order of
-    (a, c), one length after another, so a counter steps from run to run.
-    Only a * c**(L-1) can have every later letter x_k, when c is x_k, and it
-    ends its run: x_k is the last letter that may follow x_k.
-    """
-    letters = ordered_letters(k)
-    top = max(position_from_label(lo), position_from_label(hi))
-
-    def runs() -> Iterator[tuple]:
-        yield ((), True), 0, 0
-        for pos, a in enumerate(letters, 1):
-            yield ((a,), True), pos, pos
-        pos, size = 2 * k + 1, 1
-        while pos <= top:
-            for a in letters:
-                for c in letters:
-                    if c != -a:
-                        split = pos + size - (c == k)  # a * x_k**(L-1) ends its run
-                        yield ((a, c), False), pos, split - 1
-                        if c == k:
-                            yield ((a, c), True), split, split
-                        pos += size
-            size *= 2 * k - 1
-
-    for tau, p, q in runs():
-        n = _count_in(lo, hi, p, q)
-        if n:
-            yield tau, p, q, n
 
 
 # --- rank OMEGA: counting over weight buckets -------------------------------
@@ -383,54 +346,83 @@ def _letters_omega(pos: int) -> tuple[int, ...]:
     return tuple(letters)
 
 
-def _omega_type_runs(lo: int, hi: int) -> Iterator[tuple]:
-    """The labels of [lo, hi] at rank OMEGA by the type of their words, as
-    :func:`_window_type_runs` gives them at finite rank: ``(tau, p, q, n)``
-    in position order, with tau = (first two letters, whether every letter
-    after the first is x_1).
+def _type_runs(rank, lo: int, hi: int) -> Iterator[tuple]:
+    """The labels of [lo, hi] by the type of their words, with no word
+    decoded: ``(tau, p, q, n)`` in position order for each run of positions
+    p..q whose words share the type tau = (first two letters, whether every
+    letter after the first is x_s) and hold n > 0 labels of the window, with
+    s = k at finite rank k and s = 1 at rank OMEGA.
 
-    The positions run through the weight buckets and each bucket through
-    its lengths.  Within a length, :func:`_omega_next` gives the first
+    The positions run through the lengths, at rank OMEGA within each weight
+    bucket.  Within a length an ordered-successor step gives the first
     letters a in order with the size of each one's block of positions, and
-    within a block the second letters c with the size of each one's run.
-    Only a * x_1**(L-1) has every later letter x_1, and when c is x_1 and
-    the last L - 2 letters have index sum L - 2 it is the whole run.  A
-    bucket, length or first letter that holds no label of the window is
-    stepped over by its size, so only the count columns the window's
-    heaviest word needs grow.
+    within a block the second letters c with the size of each one's run:
+    at finite rank every letter that may follow starts (2k-1)**after words,
+    and at rank OMEGA :func:`_omega_next` counts them.  Only a * x_s**(L-1)
+    has every later letter x_s: it ends the (a, x_k) run at finite rank,
+    and at rank OMEGA it is the whole (a, x_1) run when that run holds one
+    word.  A bucket, length or first letter that holds no label of the
+    window is stepped over by its size, so at rank OMEGA only the count
+    columns the window's heaviest word needs grow.
     """
     if lo > hi:
         return
+    top = max(position_from_label(lo), position_from_label(hi))
+    if rank == OMEGA:
+        _starts_past(top)
+        s, follow = 1, _omega_next
+    else:
+        s, base = rank, 2 * rank - 1
+
+        def follow(after: int, srem: int, prev: int) -> Iterator[tuple[int, int]]:
+            count = base**after
+            return ((a, count) for a in ordered_letters(rank) if a != -prev)
+
+    def lengths() -> Iterator[tuple[int, int, int, int]]:
+        # (first position, length, index sum, size) of each length's words
+        # through the one holding top; finite rank reads no index sum.
+        if rank != OMEGA:
+            pos, length, size = 1, 1, 2 * rank
+            while pos <= top:
+                yield pos, length, 0, size
+                pos, length, size = pos + size, length + 1, size * base
+            return
+        for weight in range(2, bisect_right(_starts, top)):
+            pos = _starts[weight]
+            if _count_in(lo, hi, pos, _starts[weight + 1] - 1):
+                for length in range(weight // 2 + 1):  # column c reads c - 1
+                    if pos > top:
+                        return
+                    size = _column(length, weight - length)[weight - length]
+                    yield pos, length, weight - length, size
+                    pos += size
+
     if lo <= 0 <= hi:
         yield ((), True), 0, 0, 1
-    top = max(position_from_label(lo), position_from_label(hi))
-    _starts_past(top)
-    for weight in range(2, bisect_right(_starts, top)):
-        pos = _starts[weight]
-        if not _count_in(lo, hi, pos, _starts[weight + 1] - 1):
+    for pos, length, srem, size in lengths():
+        if not _count_in(lo, hi, pos, pos + size - 1):
             continue
-        for length in range(weight // 2 + 1):
-            if pos > top:
-                return
-            size = _column(length, weight - length)[weight - length]
-            if not _count_in(lo, hi, pos, pos + size - 1):
-                pos += size
-                continue
-            for a, block in _omega_next(length - 1, weight - length, 0):
-                n = _count_in(lo, hi, pos, pos + block - 1)
-                if n and length == 1:
-                    yield ((a,), True), pos, pos + block - 1, n
-                elif n:
-                    p = pos
-                    rest = weight - length - abs(a)
-                    for c, run in _omega_next(length - 2, rest, a):
-                        # A block the window covers whole needs no intersections.
-                        hit = run if n == block else _count_in(lo, hi, p, p + run - 1)
-                        if hit:
-                            tau = ((a, c), c == 1 and rest == length - 1)
-                            yield tau, p, p + run - 1, hit
-                        p += run
-                pos += block
+        for a, block in follow(length - 1, srem, 0):
+            n = _count_in(lo, hi, pos, pos + block - 1)
+            if n and length == 1:
+                yield ((a,), True), pos, pos + block - 1, n
+            elif n:
+                p = pos
+                for c, run in follow(length - 2, srem - abs(a), a):
+                    # A block the window covers whole needs no intersections.
+                    hit = run if n == block else _count_in(lo, hi, p, p + run - 1)
+                    if hit:
+                        q = p + run - 1
+                        if c != s or rank == OMEGA and run > 1:
+                            yield ((a, c), False), p, q, hit
+                        else:  # a * x_s**(L-1) sits at q, inside the window or not
+                            last = lo <= label_from_position(q) <= hi
+                            if hit > last:
+                                yield ((a, c), False), p, q - 1, hit - last
+                            if last:
+                                yield ((a, c), True), q, q, 1
+                    p += run
+            pos += block
 
 
 # --- window walks: one decode, then successor steps ------------------------

@@ -26,13 +26,12 @@ none), so the code writes tau(w) as (w[:2], all of w[1:] is x_s).
 
 The sweep therefore reads the window only through its type runs: the runs
 of consecutive positions whose words share tau, with the window's labels in
-each (``labeling._window_type_runs`` at finite rank,
-``labeling._omega_type_runs`` at rank OMEGA).  In one pass over the runs it
-judges one word per type, the first time a run of that type arrives, and
-adds each run's labels to the partition tally its type's verdict names; a
-failing run's labels are read off its positions in the same pass.  So no
-word is decoded and memory stays flat in the window size whether the sweep
-passes or fails.
+each, from one walk at every rank (``labeling._type_runs``).  In one pass
+over the runs it judges one word per type, the first time a run of that
+type arrives, and adds each run's labels to the partition tally its type's
+verdict names; a failing run's labels are read off its positions in the
+same pass.  So no word is decoded and memory stays flat in the window size
+whether the sweep passes or fails.
 
 Pulled-back membership is computed on the word itself, classifying
 ``x_j^-1 * w_n`` directly.  That equals classifying the integer image of the
@@ -63,10 +62,9 @@ from .labeling import (
     BudgetExceededError,
     VertexLabeling,
     _labels_in,
-    _omega_type_runs,
     _position_finite,
     _position_omega,
-    _window_type_runs,
+    _type_runs,
     _window_words,
     bounded_ball_vertex_count,
 )
@@ -328,21 +326,20 @@ class ParadoxInstance:
 
         The partition is checked over the pairs in ``classes`` (not at all
         when it is empty) and the reassembly over the pairs in ``pulls``.
-        The runs of positions each type tau fills come in one pass at either
-        rank.  The first run of a type judges the ``_verdict`` of its
-        shortest word (the module docstring says why one word speaks for its
-        type), memoised for the type's later runs, and each run adds its
-        labels to the partition tally that verdict names.  A failing run's
-        labels are listed from its positions in the same pass, with no word
-        decoded, and each pair covers the labels it does not list.
-        Runs come in position order, so violations are sorted by n at the
-        end and the lists read as an ascending sweep would emit them.
+        The runs of positions each type tau fills come from ``_type_runs``
+        in one pass at any rank.  The first run of a type judges the
+        ``_verdict`` of its shortest word (the module docstring says why one
+        word speaks for its type), memoised for the type's later runs, and
+        each run adds its labels to the partition tally that verdict names.
+        A failing run's labels are listed from its positions in the same
+        pass, with no word decoded, and each pair covers the labels it does
+        not list.  Runs come in position order, so violations are sorted by
+        n at the end and the lists read as an ascending sweep would emit
+        them.
         """
         s = self.special
         checks = _classes(classes)
         top = classes[-1] if self.rank == OMEGA and checks else None
-        k = self.rank
-        runs = _omega_type_runs(lo, hi) if k == OMEGA else _window_type_runs(k, lo, hi)
         verdicts: dict[tuple[tuple[int, ...], bool], tuple] = {}
         tally = dict.fromkeys(checks, 0)
         tally[OVERFLOW] = 0
@@ -350,7 +347,7 @@ class ParadoxInstance:
         covered = dict.fromkeys(pulls, max(0, hi - lo + 1))
         part_violations: list[tuple[int, str]] = []
         reas_violations: list[tuple[int, int, str]] = []
-        for t, p, q, n in runs:
+        for t, p, q, n in _type_runs(self.rank, lo, hi):
             if t not in verdicts:
                 verdicts[t] = _verdict(_type_word(t, s), s, checks, top, pulls)
             counted, reason, pull_reasons = verdicts[t]

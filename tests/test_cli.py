@@ -400,6 +400,18 @@ def test_line_strip_omega_overflow(capsys):
     assert ">other<" in out
 
 
+@pytest.mark.parametrize("J", ["0", "-4"])
+def test_line_strip_omega_refuses_pair_limit_as_verify_does(capsys, J):
+    # A pair limit below 1 is refused with verify's message and exit code,
+    # and nothing is drawn; finite rank ignores --J.
+    argv = ("--k", "omega", "--J", J, "--window", "-3..3")
+    verify = run(capsys, "verify", *argv)
+    assert verify[0] == 2
+    assert run(capsys, "line-strip", *argv) == (2, "", verify[2])
+    assert verify[2] == f"error: pair limit must be >= 1, got {J}\n"
+    assert run(capsys, "line-strip", "--J", J, "--window", "-3..3")[0] == 0
+
+
 # --- file output -------------------------------------------------------------
 
 

@@ -31,10 +31,9 @@ from lineparadox.labeling import (
     _labels_in,
     _letters_finite,
     _letters_omega,
-    _omega_type_runs,
     _position_finite,
     _position_omega,
-    _window_type_runs,
+    _type_runs,
     _window_words,
     ball_vertex_count,
     bounded_ball_vertex_count,
@@ -312,6 +311,30 @@ def _run_boundary_labels(k, max_length):
     return sorted({label_from_position(p + d) for p in ends for d in (-1, 0, 1) if p + d >= 0})
 
 
+def _wide_block_windows(k):
+    """Windows whose ends fall inside first-letter blocks of words of length
+    2 and 3, several blocks apart, on both sides of 0 and across it."""
+    b = 2 * k - 1
+
+    def mid(length, j):  # the middle position of block j of that length
+        size = b ** (length - 1)
+        return 1 + 2 * k * (size - 1) // (b - 1) + j * size + size // 2
+
+    def up(p):  # the label > 0 at p or p - 1
+        return (p + 1) // 2
+
+    def down(p):  # the label <= 0 at p or p - 1
+        return -(p // 2)
+
+    far = mid(3, 2 * k - 3)
+    return [
+        (up(mid(2, 1)), up(mid(2, 2 * k - 2))), (down(mid(2, 2 * k - 1)), down(mid(2, 1))),
+        (up(mid(2, k)), up(mid(3, 1))), (up(mid(3, 1)), up(mid(3, 3))),
+        (down(mid(2, k)), up(mid(3, 0))), (down(mid(3, 2)), down(mid(2, 2 * k - 2))),
+        (up(far), up(far) + 40), (down(far) - 40, down(far)),
+    ]
+
+
 _TYPE_COUNT_WINDOWS = [
     (-300, 300), (-5, 400), (-400, 5), (1, 500), (37, 1000), (-1000, -37), (-500, -1),
     (10**8, 10**8 + 300), (-(10**8) - 300, -(10**8)), (0, 0), (1, 1), (-1, -1), (7, 7),
@@ -319,13 +342,16 @@ _TYPE_COUNT_WINDOWS = [
 ]
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5])
-def test_run_tally_equals_walked_type_counts(k):
+@pytest.mark.parametrize(
+    "k, max_length", [(2, 4), (3, 4), (4, 3), (5, 3), (40, 1)], ids=["2", "3", "4", "5", "40"]
+)
+def test_run_tally_equals_walked_type_counts(k, max_length):
     # The walk is the authority: fixed windows above, below and across 0,
     # single labels, empty windows, windows with ends on run and length
-    # boundaries, and random windows.
-    windows = list(_TYPE_COUNT_WINDOWS)
-    ends = _run_boundary_labels(k, 4 if k < 4 else 3)
+    # boundaries, windows with ends inside first-letter blocks (at k = 40
+    # one of length 3 spans 6,241 positions), and random windows.
+    windows = list(_TYPE_COUNT_WINDOWS) + _wide_block_windows(k)
+    ends = _run_boundary_labels(k, max_length)
     windows += [(n, n) for n in ends]
     windows += list(zip(ends, ends[1:])) + list(zip(ends, ends[2:]))
     # Wide windows from every few ends keep the walks short.
@@ -337,7 +363,7 @@ def test_run_tally_equals_walked_type_counts(k):
         lo = rng.randint(-reach, reach)
         windows.append((lo, lo + rng.randint(-2, reach)))
     for lo, hi in windows:
-        assert _folded(_window_type_runs(k, lo, hi)) == _walked_type_counts(k, lo, hi), (lo, hi)
+        assert _folded(_type_runs(k, lo, hi)) == _walked_type_counts(k, lo, hi), (lo, hi)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
@@ -345,10 +371,21 @@ def test_run_tally_sums_to_far_window(k):
     # No walk reaches this window: the tally must cover it exactly, and the
     # halves below and above 0 must add up to the whole.
     lo, hi = -(10**60), 10**60
-    whole = _folded(_window_type_runs(k, lo, hi))
+    whole = _folded(_type_runs(k, lo, hi))
     assert sum(whole.values()) == hi - lo + 1
-    below, above = _folded(_window_type_runs(k, lo, 0)), _folded(_window_type_runs(k, 1, hi))
+    below, above = _folded(_type_runs(k, lo, 0)), _folded(_type_runs(k, 1, hi))
     assert whole == {t: below.get(t, 0) + above.get(t, 0) for t in below.keys() | above.keys()}
+
+
+def test_runs_step_over_first_letter_blocks(monkeypatch):
+    # Two labels at k = 1000: a first-letter block with no label of the
+    # window is stepped over whole, not run by run through its 1,999 runs.
+    calls = []
+    count_in = labeling._count_in
+    monkeypatch.setattr(labeling, "_count_in", lambda *args: calls.append(args) or count_in(*args))
+    runs = list(_type_runs(1000, 1000, 1001))
+    assert [(tau, n) for tau, _, _, n in runs] == [(((1000,), True), 1), (((1, 1), False), 1)]
+    assert len(calls) <= 10**4
 
 
 def _omega_run_boundary_labels(max_weight):
@@ -380,7 +417,7 @@ def test_omega_run_tally_equals_walked_type_counts():
         lo = rng.randint(-reach, reach)
         windows.append((lo, lo + rng.randint(-2, 3000)))
     for lo, hi in windows:
-        assert _folded(_omega_type_runs(lo, hi)) == _walked_type_counts(OMEGA, lo, hi), (lo, hi)
+        assert _folded(_type_runs(OMEGA, lo, hi)) == _walked_type_counts(OMEGA, lo, hi), (lo, hi)
 
 
 def _assert_runs_exact(rank, runs, lo, hi):
@@ -406,12 +443,15 @@ def _assert_runs_exact(rank, runs, lo, hi):
     assert sorted(seen) == sorted(walked), (lo, hi)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5])
-def test_window_type_runs_are_exact(k):
-    ends = _run_boundary_labels(k, 3)
+@pytest.mark.parametrize(
+    "k, max_length", [(2, 3), (3, 3), (4, 3), (5, 3), (40, 1)], ids=["2", "3", "4", "5", "40"]
+)
+def test_window_type_runs_are_exact(k, max_length):
+    ends = _run_boundary_labels(k, max_length)
     windows = list(_TYPE_COUNT_WINDOWS) + [(n, n) for n in ends] + list(zip(ends, ends[1:]))
+    windows += _wide_block_windows(k)
     for lo, hi in windows:
-        _assert_runs_exact(k, _window_type_runs(k, lo, hi), lo, hi)
+        _assert_runs_exact(k, _type_runs(k, lo, hi), lo, hi)
 
 
 def test_omega_type_runs_are_exact():
@@ -419,7 +459,7 @@ def test_omega_type_runs_are_exact():
     windows = list(_TYPE_COUNT_WINDOWS) + [(n, n) for n in ends] + list(zip(ends, ends[1:]))
     windows += [(10**12, 10**12 + 199), (-(10**40) - 199, -(10**40))]
     for lo, hi in windows:
-        _assert_runs_exact(OMEGA, _omega_type_runs(lo, hi), lo, hi)
+        _assert_runs_exact(OMEGA, _type_runs(OMEGA, lo, hi), lo, hi)
 
 
 def test_omega_run_tally_refuses_past_weight_limit_before_growth():
@@ -431,7 +471,7 @@ def test_omega_run_tally_refuses_past_weight_limit_before_growth():
     grown = [len(col) for col in labeling._cols]
     for lo, hi in [(2**255, 2**255), (n - 3, n), (-n, -n + 3)]:
         with pytest.raises(BudgetExceededError, match=f"weight {labeling.MAX_OMEGA_WEIGHT + 1}"):
-            _folded(_omega_type_runs(lo, hi))
+            _folded(_type_runs(OMEGA, lo, hi))
     assert [len(col) for col in labeling._cols] == grown
 
 
@@ -615,7 +655,7 @@ def test_count_columns_grow_only_as_far_as_read(monkeypatch):
     _letters_omega(position_from_label(lo))
     decoded = [len(col) for col in labeling._cols]
     monkeypatch.setattr(labeling, "_cols", [[1]])
-    _folded(_omega_type_runs(lo, hi))
+    _folded(_type_runs(OMEGA, lo, hi))
     assert [len(col) for col in labeling._cols] == decoded
 
 

@@ -386,7 +386,7 @@ def test_sweep_equals_per_label_verdicts_under_type_mutations(
     def counted(runs):
         return lambda *args: passes.append(args) or runs(*args)
 
-    for name in ("_window_type_runs", "_omega_type_runs"):
+    for name in ("_type_runs",):
         monkeypatch.setattr(paradox, name, counted(getattr(paradox, name)))
     verdict = paradox._verdict
     monkeypatch.setattr(paradox, "_verdict", lambda w, *args: judged.append(w) or verdict(w, *args))
