@@ -217,8 +217,8 @@ def _classify_letters(letters: tuple[int, ...], s: int) -> tuple[int, int]:
 # has no first word of length 2, so words are grouped into finite buckets by
 # weight(w) = len(w) + sum of generator indices, buckets in increasing weight,
 # and (length, lexicographic) inside each bucket.  Both schemes are
-# prefix-stable: enumerating more words never reorders earlier ones, and both
-# are walked by one odometer step per word (_words_from, _omega_words_from).
+# prefix-stable: enumerating more words never reorders earlier ones, and one
+# odometer step per word walks both (_words_from).
 # ---------------------------------------------------------------------------
 
 
@@ -235,81 +235,65 @@ def word_weight(letters: Iterable[int]) -> int:
     return total + n
 
 
-def _words_from(k: int, letters: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """``letters`` and every reduced word after it in the rank-k order.
+def _words_from(rank, letters: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """``letters`` and every reduced word after it in the rank's order.
 
-    Each word is the (length, lex) successor of the one before, stepped like
-    a mixed-radix odometer whose digits run through the letters in canonical
+    Each word is the successor of the one before, stepped like a
+    mixed-radix odometer whose digits run through the letters in canonical
     order and skip the inverse of the digit to their left (Knuth, TAOCP 4A,
-    7.2.1.1).  The last digit runs through its 2k - 1 letters between
-    carries, and a carry moves past a digit one time in 2k - 1, so a step
-    changes O(1) digits on average.
+    7.2.1.1).  A digit's index is capped by k at finite rank.  Rank OMEGA
+    holds the weight fixed, so there the cap is the index sum the digits
+    from it on must spend, less one for each later digit, and the last
+    digit only steps from x_j to X_j.  The last digit runs through a range
+    of indices between carries, so a step changes O(1) digits on average
+    and the walk holds nothing that grows with the rank.
     """
-    order = ordered_letters(k)
-    # follow[prev]: the letters that may follow prev (0: no letter precedes).
-    follow = {prev: [a for a in order if a != -prev] for prev in [0, *order]}
+    finite = rank != OMEGA
     word = list(letters)
     if not word:
         yield ()
         word = [1]
     while True:
         head = tuple(word[:-1])
-        last = follow[word[-2] if len(word) > 1 else 0]
-        for b in last[last.index(word[-1]):]:
-            yield head + (b,)
-        i = len(word) - 2
-        while i >= 0:
-            allowed = follow[word[i - 1] if i else 0]
-            at = allowed.index(word[i]) + 1
-            if at < len(allowed):
-                b = allowed[at]
-                # The smallest reduced suffix: x1 x1 ..., or X1 X1 ... after X1.
-                word[i:] = [b] + [-1 if b == -1 else 1] * (len(word) - 1 - i)
-                break
-            i -= 1
-        else:
-            word = [1] * (len(word) + 1)
-
-
-def _omega_words_from(letters: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """``letters`` and every reduced word after it in the rank-OMEGA order.
-
-    The same odometer as :func:`_words_from`, with the weight held fixed: a
-    digit may step to its next letter only while the digits after it can
-    still spend the rest of the index sum, one index at least each, and the
-    last digit must spend it exactly, so it only steps from x_j to X_j.
-    """
-    word = list(letters)
-    if not word:
-        yield ()
-        word = [1]
-    while True:
-        yield tuple(word)
+        left = word[-2] if head else 0
+        skip = abs(left)  # only the left letter itself may follow at its index
+        a = word[-1]
+        first = abs(a)
+        if a < 0:
+            yield head + (a,)
+            first += 1
+        for i in range(first, (rank if finite else abs(a)) + 1):
+            if i == skip:
+                yield head + (left,)
+            else:
+                yield head + (i,)
+                yield head + (-i,)
         length = len(word)
-        suffix_sum = 0  # index sum of word[i:]
-        for i in range(length - 1, -1, -1):
+        suffix = abs(a)  # index sum of word[i:]; at OMEGA the last run kept the index
+        for i in range(length - 2, -1, -1):
             a = word[i]
-            suffix_sum += abs(a)
-            left = word[i - 1] if i else 0
+            suffix += abs(a)
             b = -a if a > 0 else 1 - a
-            if b == -left:
+            if i and b == -word[i - 1]:
                 b = -b if b > 0 else 1 - b
-            tail = length - 1 - i
-            if abs(b) <= suffix_sum - tail:
-                if tail:
-                    # The smallest completion: x1 ... x1 x_j, or X1 ... after X1.
-                    one = -1 if b == -1 else 1
-                    j = suffix_sum - abs(b) - tail + 1
-                    left = one if tail > 1 else b
-                    word[i:] = [b] + [one] * (tail - 1) + [-j if left == -j else j]
-                else:
-                    word[i] = b
+            # At OMEGA each of the length - 1 - i later digits spends one index.
+            if abs(b) <= (rank if finite else suffix + i + 1 - length):
+                # The smallest completion: x1 ... x1 x_j, or X1 ... after X1,
+                # with j = 1 at finite rank and spending the index sum at OMEGA.
+                tail = length - 1 - i
+                word[i:] = [b] + [-1 if b == -1 else 1] * tail
+                if not finite:
+                    j = suffix - abs(b) - tail + 1
+                    word[-1] = -j if word[-2] == -j else j
                 break
         else:
-            # Past the bucket's last word of this length: the next length's
-            # first word x1 ... x1 x_j, or x_W, which opens weight W + 1.
-            weight = suffix_sum + length
-            if 2 * (length + 1) <= weight:
+            # Past the last word of its length: x1^(L+1) at finite rank; at
+            # OMEGA the bucket's next length, x1 ... x1 x_j, or x_W, which
+            # opens weight W + 1.
+            weight = suffix + length
+            if finite:
+                word = [1] * (length + 1)
+            elif 2 * (length + 1) <= weight:
                 word = [1] * length + [weight - 2 * length - 1]
             else:
                 word = [weight]
@@ -318,8 +302,7 @@ def _omega_words_from(letters: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 def iter_words(rank) -> Iterator[Word]:
     """Yield every reduced word exactly once, in canonical order."""
     check_rank(rank)
-    words = _omega_words_from(()) if rank == OMEGA else _words_from(rank, ())
-    for letters in words:
+    for letters in _words_from(rank, ()):
         yield Word._from_reduced(letters)
 
 

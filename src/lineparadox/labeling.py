@@ -50,7 +50,6 @@ from .freegroup import (
     OMEGA,
     BudgetExceededError,
     Word,
-    _omega_words_from,
     _words_from,
     check_rank,
     invert,
@@ -446,11 +445,8 @@ def _window_words(rank, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]
         _starts_past(max(position_from_label(lo), position_from_label(hi)))
 
     def every_other(first: int) -> Iterator[tuple[int, ...]]:
-        if rank == OMEGA:
-            words = _omega_words_from(_letters_omega(first))
-        else:
-            words = _words_from(rank, _letters_finite(rank, first))
-        yield from islice(words, None, None, 2)
+        letters = _letters_omega(first) if rank == OMEGA else _letters_finite(rank, first)
+        yield from islice(_words_from(rank, letters), None, None, 2)
 
     top = min(hi, -1)
     below = (

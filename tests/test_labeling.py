@@ -13,7 +13,6 @@ from lineparadox.freegroup import (
     IDENTITY,
     OMEGA,
     Word,
-    _omega_words_from,
     _words_from,
     enumerate_words,
     multiply,
@@ -234,7 +233,7 @@ def _walk(k, pos, count):
     return list(islice(_words_from(k, _letters_finite(k, pos)), count))
 
 
-@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("k", [2, 3, 5, 40])
 def test_successor_walk_matches_decode(k):
     # From the identity, from offsets inside length blocks, and across every
     # block boundary up to length 6 (the last word of a length, then the
@@ -245,6 +244,16 @@ def test_successor_walk_matches_decode(k):
     for pos, count in starts:
         expected = [_letters_finite(k, p) for p in range(pos, pos + count)]
         assert _walk(k, pos, count) == expected, (pos, count)
+
+
+def test_walk_holds_no_per_rank_table():
+    # The letter steps are arithmetic, so the first words from x1 and from a
+    # far position at rank 1000 hold nothing that grows with the rank.
+    peak, _ = _traced_peak(lambda: (
+        list(islice(_words_from(1000, (1,)), 3)),
+        list(islice(_words_from(1000, _letters_finite(1000, 10**40)), 5)),
+    ))
+    assert peak < 1_000_000
 
 
 def test_successor_walk_matches_oracle_order():
@@ -393,7 +402,7 @@ def _omega_run_boundary_labels(max_weight):
     weight, length and first two letters, through ``max_weight``, and at the
     positions next to them; the runs are read off the walk."""
     end = next(islice(labeling._series_starts(), max_weight + 1, None))
-    keys = [(word_weight(w), len(w), w[:2]) for w in islice(_omega_words_from(()), end)]
+    keys = [(word_weight(w), len(w), w[:2]) for w in islice(_words_from(OMEGA, ()), end)]
     starts = [p for p in range(1, end) if keys[p] != keys[p - 1]] + [end]
     ends = {p + d for p in starts for d in (-2, -1, 0, 1)}
     return sorted({label_from_position(p) for p in ends if p >= 0})
@@ -539,7 +548,7 @@ def test_omega_next_stops_before_until_without_reading_its_count(monkeypatch):
 
 def test_omega_successor_matches_oracle_order():
     words = oracle.omega_words(12)
-    assert list(islice(_omega_words_from(()), len(words))) == words
+    assert list(islice(_words_from(OMEGA, ()), len(words))) == words
 
 
 def test_omega_successor_crosses_length_and_bucket_boundaries():
@@ -553,7 +562,7 @@ def test_omega_successor_crosses_length_and_bucket_boundaries():
             ends.append(pos - 1)
     for end in ends:
         for pos in range(max(0, end - 2), end + 2):
-            step = next(islice(_omega_words_from(_letters_omega(pos)), 1, None))
+            step = next(islice(_words_from(OMEGA, _letters_omega(pos)), 1, None))
             assert step == _letters_omega(pos + 1), pos
 
 

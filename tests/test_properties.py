@@ -17,7 +17,7 @@ from itertools import islice
 
 from hypothesis import given, settings, strategies as st
 
-from lineparadox.freegroup import OMEGA, Word, _omega_words_from, multiply
+from lineparadox.freegroup import OMEGA, Word, _words_from, multiply
 from lineparadox.labeling import (
     VertexLabeling,
     _column,
@@ -82,7 +82,7 @@ def test_omega_decode_inverts_encode(w):
 @settings(deadline=None)
 @given(pos=st.integers(0, 10**40))
 def test_omega_successor_equals_next_decode(pos):
-    walk = list(islice(_omega_words_from(_letters_omega(pos)), 3))
+    walk = list(islice(_words_from(OMEGA, _letters_omega(pos)), 3))
     assert walk == [_letters_omega(pos + i) for i in range(3)]
 
 
