@@ -58,10 +58,8 @@ from .permutation import (
 from .rigid import (
     Piece,
     PiecewiseRigidMap,
-    Rational,
     RigidityReport,
     compose_maps,
-    identity_map,
     rigidity_audit,
 )
 

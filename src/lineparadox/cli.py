@@ -182,7 +182,7 @@ def _cmd_verify(args) -> int:
     _check_window(lo, hi)
     summary = verification_summary(
         inst, lo, hi,
-        pair_limit=args.J if args.k == OMEGA else None,
+        pair_limit=args.J,
         free_check=args.free_check,
         word_budget=args.budget,
     )
@@ -270,7 +270,7 @@ def _cmd_line_strip(args) -> int:
     lo, hi = args.window
     _check_budget("line strip", hi - lo + 1, "cells", MAX_STRIP_CELLS)
     inst = ParadoxInstance(args.k)
-    pairs = inst.pairs(args.J if args.k == OMEGA else None)
+    pairs = inst.pairs(args.J)
     cells = [(n, cls if cls.pair in pairs else None) for n, _, cls in inst.classify_window(lo, hi)]
     _emit(line_strip_svg(cells, args.k), args.out)
     return 0

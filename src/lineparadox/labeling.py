@@ -12,11 +12,11 @@ are the base-(2k-1) digits of its offset among the words of its length, each
 the letter's rank among those that may follow the one before; shorter words
 are counted in closed form, and over :data:`SPLIT_DIGITS` digits are joined
 and split by halves, one multiply or divmod per cut, so the cost is
-near-linear in the length.  For rank OMEGA it is computed by one
-ordered-successor step (:func:`_omega_next`), shared by encode, decode
-and the type runs, over counts of reduced words by length and index sum,
-one column per length grown only as far as a request reads it, up to
-:data:`MAX_OMEGA_WEIGHT`.  The univariate growth series places the weight
+near-linear in the length.  For rank OMEGA it is computed by the
+ordered-successor step that encode, decode and the type runs of both ranks
+share (:func:`_next_letters`), over counts of reduced words by length and
+index sum, one column per length grown only as far as a request reads it, up
+to :data:`MAX_OMEGA_WEIGHT`.  The univariate growth series places the weight
 buckets and gives the weight of a position before any column grows, so
 heavier positions are refused at once.  A labeling holds nothing but its
 rank: ``word_of_label`` and ``label_of_word`` compute every call afresh, so
@@ -55,6 +55,7 @@ from .freegroup import (
     invert,
     multiply,
     ordered_letters,
+    special_index,
     word_weight,
 )
 
@@ -246,14 +247,19 @@ def _continuations(r: int, s: int, p: int) -> int:
     return total
 
 
-def _omega_next(after: int, srem: int, prev: int, until: int = 0) -> Iterator[tuple[int, int]]:
+def _next_letters(rank, after: int, srem: int, prev: int, until: int = 0) -> Iterator[tuple[int, int]]:
     """``(a, count)`` for each letter a that may follow ``prev`` (0: none),
     in canonical order: by index, x_i before X_i, never the inverse of prev.
-    ``count`` = T(after, srem - |a|, |a|) is the number of ways to finish a
-    word from a on with ``after`` more letters and index sum srem in all.
-    The letters stop before ``until`` (0: none), whose count is not read."""
-    for i in range(1, srem - after + 1):
-        count = None
+    ``count`` is the number of ways to finish a word from a on with
+    ``after`` more letters: (2k-1)**after at finite rank k, and at rank OMEGA,
+    with index sum srem in all, T(after, srem - |a|, |a|).  The letters stop
+    before ``until`` (0: none), whose count is not read."""
+    if rank == OMEGA:
+        fixed, last = None, srem - after
+    else:
+        fixed, last = (2 * rank - 1) ** after, rank
+    for i in range(1, last + 1):
+        count = fixed
         for a in (i, -i):
             if a == until:
                 return
@@ -273,7 +279,7 @@ def _position_omega(letters: tuple[int, ...]) -> int:
     pos = _starts[weight] + sum(_column(r, weight - r)[weight - r] for r in range(length))
     srem = weight - length
     for t, (prev, a) in enumerate(zip((0,) + letters, letters)):
-        for _, count in _omega_next(length - t - 1, srem, prev, a):
+        for _, count in _next_letters(OMEGA, length - t - 1, srem, prev, a):
             pos += count
         srem -= abs(a)
     return pos
@@ -335,7 +341,7 @@ def _letters_omega(pos: int) -> tuple[int, ...]:
     srem = weight - length
     prev = 0
     for t in range(length):
-        for a, count in _omega_next(length - t - 1, srem, prev):
+        for a, count in _next_letters(OMEGA, length - t - 1, srem, prev):
             if r < count:
                 break
             r -= count
@@ -353,29 +359,23 @@ def _type_runs(rank, lo: int, hi: int) -> Iterator[tuple]:
     s = k at finite rank k and s = 1 at rank OMEGA.
 
     The positions run through the lengths, at rank OMEGA within each weight
-    bucket.  Within a length an ordered-successor step gives the first
-    letters a in order with the size of each one's block of positions, and
-    within a block the second letters c with the size of each one's run:
-    at finite rank every letter that may follow starts (2k-1)**after words,
-    and at rank OMEGA :func:`_omega_next` counts them.  Only a * x_s**(L-1)
-    has every later letter x_s: it ends the (a, x_k) run at finite rank,
-    and at rank OMEGA it is the whole (a, x_1) run when that run holds one
-    word.  A bucket, length or first letter that holds no label of the
-    window is stepped over by its size, so at rank OMEGA only the count
-    columns the window's heaviest word needs grow.
+    bucket.  Within a length the ordered-successor step
+    (:func:`_next_letters`) gives the first letters a in order with the size
+    of each one's block of positions, and within a block the second letters
+    c with the size of each one's run.  Only a * x_s**(L-1) has every later
+    letter x_s: it ends the (a, x_k) run at finite rank, and at rank OMEGA
+    it is the whole (a, x_1) run when that run holds one word.  A bucket,
+    length or first letter that holds no label of the window is stepped over
+    by its size, so at rank OMEGA only the count columns the window's
+    heaviest word needs grow, and the walk ends at the first block that
+    starts past the window's last position.
     """
     if lo > hi:
         return
     top = max(position_from_label(lo), position_from_label(hi))
+    s = special_index(rank)
     if rank == OMEGA:
         _starts_past(top)
-        s, follow = 1, _omega_next
-    else:
-        s, base = rank, 2 * rank - 1
-
-        def follow(after: int, srem: int, prev: int) -> Iterator[tuple[int, int]]:
-            count = base**after
-            return ((a, count) for a in ordered_letters(rank) if a != -prev)
 
     def lengths() -> Iterator[tuple[int, int, int, int]]:
         # (first position, length, index sum, size) of each length's words
@@ -384,7 +384,7 @@ def _type_runs(rank, lo: int, hi: int) -> Iterator[tuple]:
             pos, length, size = 1, 1, 2 * rank
             while pos <= top:
                 yield pos, length, 0, size
-                pos, length, size = pos + size, length + 1, size * base
+                pos, length, size = pos + size, length + 1, size * (2 * rank - 1)
             return
         for weight in range(2, bisect_right(_starts, top)):
             pos = _starts[weight]
@@ -401,13 +401,15 @@ def _type_runs(rank, lo: int, hi: int) -> Iterator[tuple]:
     for pos, length, srem, size in lengths():
         if not _count_in(lo, hi, pos, pos + size - 1):
             continue
-        for a, block in follow(length - 1, srem, 0):
+        for a, block in _next_letters(rank, length - 1, srem, 0):
+            if pos > top:
+                return
             n = _count_in(lo, hi, pos, pos + block - 1)
             if n and length == 1:
                 yield ((a,), True), pos, pos + block - 1, n
             elif n:
                 p = pos
-                for c, run in follow(length - 2, srem - abs(a), a):
+                for c, run in _next_letters(rank, length - 2, srem - abs(a), a):
                     # A block the window covers whole needs no intersections.
                     hit = run if n == block else _count_in(lo, hi, p, p + run - 1)
                     if hit:
@@ -599,18 +601,3 @@ class CayleyBall:
             BallEntry(n, Word._from_reduced(letters), {a: col[n - lo] for a, col in columns.items()})
             for n, letters in zip(self.labels(), _words_from(self.rank, ()))
         )
-
-    def edges(self) -> Iterator[tuple[int, int, int]]:
-        """Yield each tree edge once as (tail label, head label, generator).
-
-        The head is the image of the tail under left multiplication by the
-        generator, so every edge appears exactly once with a positive letter.
-        Tails come in position order.
-        """
-        lo = self.lo
-        gens = range(1, self.rank + 1)
-        for n in self.labels():
-            for j in gens:
-                head = self.columns[j][n - lo]
-                if head is not None:
-                    yield (n, head, j)

@@ -255,7 +255,8 @@ class ParadoxInstance:
             raise ValueError(f"generator index {j} out of range for rank {rank_token(self.rank)}")
 
     def pairs(self, pair_limit: int | None = None) -> range:
-        """The generator pairs a finite sweep covers; OMEGA needs a limit."""
+        """The generator pairs a sweep covers: all k at finite rank k, which
+        ignores ``pair_limit``, and 1..pair_limit at OMEGA, which needs one."""
         if self.rank != OMEGA:
             return range(1, self.rank + 1)
         if pair_limit is None:
@@ -395,7 +396,7 @@ class ParadoxInstance:
         """
         if max_length < 1:
             raise ValueError(f"max_length must be >= 1, got {max_length}")
-        k = self.rank if self.rank != OMEGA else self.pairs(pair_limit)[-1]
+        k = self.pairs(pair_limit)[-1]
         # The nonempty words fit the budget when the ball fits one more.
         count = bounded_ball_vertex_count(k, max_length, word_budget + 1)
         if count is None:

@@ -18,19 +18,15 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import pairwise
 from math import gcd
 from random import Random
 from typing import NamedTuple
 
 from .permutation import (
-    CyclePermutation,
     IntegerPermutation,
     LabelingMismatchError,
     compose,
 )
-
-Rational = Fraction
 
 
 def as_rational(x) -> Fraction:
@@ -105,23 +101,8 @@ class PiecewiseRigidMap:
         """One piece per integer n in [lo, hi), half-open at hi."""
         return [Piece(n, self.image_of_integer(n) - n) for n in range(lo, hi)]
 
-    def discontinuities_in_window(self, lo: int, hi: int) -> list[int]:
-        """Integers n in [lo, hi] where the one-sided limits disagree.
-
-        The left limit at n is image(n-1) + 1 and the value is image(n), so a
-        jump happens exactly when those differ.  Between integers the map is
-        an exact translation, so this list is the entire discontinuity set in
-        the window.  Each image of lo - 1, ..., hi is computed once.
-        """
-        images = pairwise(map(self.image_of_integer, range(lo - 1, hi + 1)))
-        return [n for n, (left, value) in enumerate(images, lo) if value - left != 1]
-
     def __repr__(self) -> str:
         return f"PiecewiseRigidMap[{self.permutation!r}]"
-
-
-def identity_map() -> PiecewiseRigidMap:
-    return PiecewiseRigidMap(CyclePermutation(()))
 
 
 def compose_maps(f: PiecewiseRigidMap, g: PiecewiseRigidMap) -> PiecewiseRigidMap:

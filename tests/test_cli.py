@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -800,6 +801,25 @@ def test_omega_position_past_limit_refused_before_tables_grow(capsys):
     assert out == ""
     assert "weight 257" in err
     assert [len(col) for col in labeling._cols] == grown
+
+
+def test_package_exports_these_names():
+    # The public names of ``lineparadox`` other than its submodules.
+    names = sorted(
+        n for n, v in vars(lineparadox).items() if not n.startswith("_") and not inspect.ismodule(v)
+    )
+    assert names == [
+        "BallEntry", "BudgetExceededError", "CayleyBall", "CycleError", "CyclePermutation",
+        "FreeActionReport", "IDENTITY", "IntegerPermutation", "InvalidLetterError",
+        "LabelingMismatchError", "MINUS", "MeasureAuditReport", "OMEGA", "PLUS",
+        "ParadoxInstance", "PartitionReport", "Piece", "PiecewiseRigidMap", "RankError",
+        "ReassemblyReport", "RigidityReport", "TreePermutation", "UnreducedWordError",
+        "UnsupportedRankError", "VertexLabeling", "Word", "WordClass", "WordSyntaxError",
+        "ball_vertex_count", "classify_word", "compose", "compose_maps", "enumerate_words",
+        "fixed_points_in_window", "format_word", "invert", "iter_words", "label_from_position",
+        "multiply", "parse_cycles", "parse_word", "position_from_label", "reduce",
+        "rigidity_audit", "special_index", "verification_summary",
+    ]
 
 
 def test_python_dash_m_runs_the_cli():

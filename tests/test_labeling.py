@@ -471,6 +471,15 @@ def test_omega_type_runs_are_exact():
         _assert_runs_exact(OMEGA, _type_runs(OMEGA, lo, hi), lo, hi)
 
 
+def test_type_runs_stop_at_the_window_top():
+    # Label 1 is x1, the first of 40,000 one-letter blocks at rank 20000;
+    # the walk ends at the next block, with no list of the rank's letters.
+    runs = []
+    peak, _ = _traced_peak(lambda: runs.extend(_type_runs(20000, 1, 1)))
+    assert runs == [(((1,), True), 1, 1, 1)]
+    assert peak < 50_000
+
+
 def test_omega_run_tally_refuses_past_weight_limit_before_growth():
     # The heaviest position of the window is weighed first: a window that
     # reaches past the last word of the weight limit is refused whole, with
@@ -512,7 +521,7 @@ def test_omega_next_orders_letters_and_counts_continuations():
     for prev in (0, 1, -1, 2, -2, 3, -3):
         for after in range(6):
             for srem in range(after, after + 15):
-                steps = list(labeling._omega_next(after, srem, prev))
+                steps = list(labeling._next_letters(OMEGA, after, srem, prev))
                 letters = [a for a, _ in steps]
                 keys = [(abs(a), a < 0) for a in letters]
                 assert keys == sorted(set(keys)), (prev, after, srem)
@@ -539,11 +548,21 @@ def test_omega_next_stops_before_until_without_reading_its_count(monkeypatch):
     for prev in (0, 1, -1, 2, -2, 3, -3):
         for after in range(4):
             for srem in range(after, after + 10):
-                steps = list(labeling._omega_next(after, srem, prev))
+                steps = list(labeling._next_letters(OMEGA, after, srem, prev))
                 for t, (until, _) in enumerate(steps):
                     calls.clear()
-                    assert list(labeling._omega_next(after, srem, prev, until)) == steps[:t]
+                    assert list(labeling._next_letters(OMEGA, after, srem, prev, until)) == steps[:t]
                     assert calls == sorted({abs(a) for a, _ in steps[:t]}), (prev, after, srem, until)
+
+
+def test_next_letters_at_finite_rank():
+    # Every letter but -prev in canonical order, each starting
+    # (2k-1)**after words: the step the finite type runs take.
+    for k in (2, 3, 7):
+        for after in range(4):
+            for prev in [0] + ordered_letters(k):
+                expected = [(a, (2 * k - 1) ** after) for a in ordered_letters(k) if a != -prev]
+                assert list(labeling._next_letters(k, after, 0, prev)) == expected, (k, after, prev)
 
 
 def test_omega_successor_matches_oracle_order():
@@ -776,23 +795,34 @@ def test_bounded_ball_vertex_count():
         bounded_ball_vertex_count(2, -1, 10)
 
 
+def _edges(ball):
+    """Each tree edge once as (tail label, head label, j), read from the
+    positive columns: the head is x_j times the tail."""
+    return [
+        (n, head, j)
+        for j in range(1, ball.rank + 1)
+        for n, head in enumerate(ball.columns[j], ball.lo)
+        if head is not None
+    ]
+
+
 def test_ball_radius_zero_and_one():
     lab = VertexLabeling(2)
     b0 = lab.ball(0)
     assert isinstance(b0, CayleyBall)
     assert b0.labels() == [0]
-    assert list(b0.edges()) == []
+    assert _edges(b0) == []
 
     b1 = lab.ball(1)
     assert b1.labels() == [0, 1, -1, 2, -2]
-    assert len(list(b1.edges())) == 4
+    assert len(_edges(b1)) == 4
 
 
 def test_ball_radius_two_structure():
     lab = VertexLabeling(2)
     ball = lab.ball(2)
     assert len(ball.entries) == 17
-    edges = list(ball.edges())
+    edges = _edges(ball)
     assert len(edges) == 16  # a tree: one fewer edge than vertices
 
     by_label = {e.label: e for e in ball.entries}
@@ -841,10 +871,6 @@ def test_ball_matches_random_access(k, radius):
             assert ball.columns[a][e.label - ball.lo] == target
     assert ball.entries == expected
     assert [list(e.neighbors) for e in ball.entries] == [ordered_letters(k)] * len(expected)
-    assert list(ball.edges()) == [
-        (e.label, e.neighbors[j], j)
-        for e in expected for j in range(1, k + 1) if e.neighbors[j] is not None
-    ]
     # The ball is built from its own table: its peak is the ball's own size,
     # and once the ball is dropped nothing of it stays, in the labeling or
     # anywhere else.

@@ -20,7 +20,6 @@ from lineparadox.rigid import (
     compose_maps,
     floor_part,
     fractional_part,
-    identity_map,
     rigidity_audit,
 )
 
@@ -95,11 +94,11 @@ def test_cycle_map_values(f_cycle):
 
 
 def test_identity_map():
-    ident = identity_map()
+    ident = PiecewiseRigidMap(CyclePermutation(()))
     for x in (Fraction(0), Fraction(-7, 3), Fraction(100, 7)):
         assert ident.eval(x) == x
     assert [p.offset for p in ident.pieces_in_window(-3, 3)] == [0] * 6
-    assert ident.discontinuities_in_window(-10, 10) == []
+    assert rigidity_audit(ident, -10, 10, 0).discontinuities == []
 
 
 # --- pieces and discontinuities ----------------------------------------------
@@ -126,7 +125,7 @@ def test_cycle_pieces(f_cycle):
 
 
 def test_cycle_discontinuities(f_cycle):
-    assert f_cycle.discontinuities_in_window(-1, 7) == [0, 2, 3, 4, 5, 6]
+    assert rigidity_audit(f_cycle, -1, 7, 0).discontinuities == [0, 2, 3, 4, 5, 6]
 
 
 def test_discontinuities_match_one_sided_limits(f_sigma, f_cycle, lab2):
@@ -134,27 +133,10 @@ def test_discontinuities_match_one_sided_limits(f_sigma, f_cycle, lab2):
     eps = Fraction(1, 997)
     composite = compose_maps(f_sigma, f_cycle)
     for f, lo, hi in ((f_cycle, -1, 7), (f_sigma, -5, 5), (composite, -4, 8)):
-        jumps = f.discontinuities_in_window(lo, hi)
+        jumps = rigidity_audit(f, lo, hi, 0).discontinuities
         for n in range(lo, hi + 1):
             continuous = f.eval(n) - f.eval(n - eps) == eps
             assert continuous == (n not in jumps)
-
-
-@pytest.mark.parametrize("lo, hi", [(-1, 7), (3, 3), (-20, 40)])
-def test_discontinuities_apply_once_per_image(monkeypatch, f_cycle, lo, hi):
-    image = {n: f_cycle.image_of_integer(n) for n in range(lo - 1, hi + 1)}
-    calls = []
-    apply = CyclePermutation.apply
-
-    def counted(self, n):
-        calls.append(n)
-        return apply(self, n)
-
-    monkeypatch.setattr(CyclePermutation, "apply", counted)
-    jumps = f_cycle.discontinuities_in_window(lo, hi)
-    assert len(calls) == hi - lo + 2
-    assert sorted(calls) == list(range(lo - 1, hi + 1))
-    assert jumps == [n for n in range(lo, hi + 1) if image[n] - image[n - 1] != 1]
 
 
 # --- composition -------------------------------------------------------------
