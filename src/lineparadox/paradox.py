@@ -29,9 +29,10 @@ of consecutive positions whose words share tau, with the window's labels in
 each, from one walk at every rank (``labeling._type_runs``).  In one pass
 over the runs it judges one word per type, the first time a run of that
 type arrives, and adds each run's labels to the partition tally its type's
-verdict names; a failing run's labels are read off its positions in the
-same pass.  So no word is decoded and memory stays flat in the window size
-whether the sweep passes or fails.
+verdict names.  A verdict also lists the type's failures, none when it
+passes, and a failing run's labels are read off its positions in the same
+pass.  So no word is decoded, pass or fail, and memory grows only with the
+types judged, a few hundred bytes each, not with k.
 
 Pulled-back membership is computed on the word itself, classifying
 ``x_j^-1 * w_n`` directly.  That equals classifying the integer image of the
@@ -116,7 +117,7 @@ def _verdict(
     checks: list[WordClass],
     top: int | None,
     pulls: tuple[int, ...],
-) -> tuple[WordClass | str | None, str | None, tuple[str | None, ...]]:
+) -> tuple[WordClass | str | None, tuple[tuple[int | None, str], ...]]:
     """Everything the sweep concludes about one word.
 
     ``checks`` are the partition classes asked about the word (none: no
@@ -124,8 +125,9 @@ def _verdict(
     overflow (None below rank OMEGA) and ``pulls`` the pairs the reassembly
     check pulls it back through.  Returns the partition tally the word
     lands in (a class, OVERFLOW, or None when it is a violation or nothing
-    is checked), the partition violation's reason or None, and for each
-    pull pair in order the reassembly violation's reason or None.
+    is checked) and its failures in report order: ``(None, reason)`` for
+    the partition, then ``(j, reason)`` per failing pull pair j; none when
+    it passes, so a verdict holds no slot per pair.
     """
     counted = reason = None
     if checks:
@@ -147,7 +149,7 @@ def _verdict(
                 reason = f"predicate {hits[0]} disagrees with classifier {WordClass(*direct)}"
             else:
                 counted = hits[0]
-    pull_reasons = []
+    failures = [] if reason is None else [(None, reason)]
     for j in pulls:
         in_plus = _is_member(letters, j, PLUS, s)
         # Pull the word back through the inverse generator.
@@ -155,14 +157,9 @@ def _verdict(
             pulled = letters[1:]
         else:
             pulled = (-j,) + letters
-        in_image = _is_member(pulled, j, MINUS, s)
-        if in_plus and in_image:
-            pull_reasons.append("double-covered")
-        elif not in_plus and not in_image:
-            pull_reasons.append("uncovered")
-        else:
-            pull_reasons.append(None)
-    return counted, reason, tuple(pull_reasons)
+        if in_plus == _is_member(pulled, j, MINUS, s):
+            failures.append((j, "double-covered" if in_plus else "uncovered"))
+    return counted, tuple(failures)
 
 
 @dataclass
@@ -332,18 +329,18 @@ class ParadoxInstance:
         ``_verdict`` of its shortest word (the module docstring says why one
         word speaks for its type), memoised for the type's later runs, and
         each run adds its labels to the partition tally that verdict names.
-        A failing run's labels are listed from its positions in the same
-        pass, with no word decoded, and each pair covers the labels it does
-        not list.  Runs come in position order, so violations are sorted by
-        n at the end and the lists read as an ascending sweep would emit
-        them.
+        Only a failing type lists its run's labels, from the run's positions
+        with no word decoded, once per failure; each pair covers the labels
+        it does not list.  Runs come in position order, so violations are
+        sorted by n at the end and the lists read as an ascending sweep
+        would emit them.
         """
         s = self.special
         checks = _classes(classes)
         top = classes[-1] if self.rank == OMEGA and checks else None
         verdicts: dict[tuple[tuple[int, ...], bool], tuple] = {}
-        tally = dict.fromkeys(checks, 0)
-        tally[OVERFLOW] = 0
+        # A word the partition does not count tallies to None, read by no report.
+        tally = dict.fromkeys([*checks, OVERFLOW, None], 0)
         # Each pair covers every label but those it lists as violations.
         covered = dict.fromkeys(pulls, max(0, hi - lo + 1))
         part_violations: list[tuple[int, str]] = []
@@ -351,18 +348,17 @@ class ParadoxInstance:
         for t, p, q, n in _type_runs(self.rank, lo, hi):
             if t not in verdicts:
                 verdicts[t] = _verdict(_type_word(t, s), s, checks, top, pulls)
-            counted, reason, pull_reasons = verdicts[t]
-            if counted is not None:
-                tally[counted] += n
-            if reason is None and not any(pull_reasons):
+            counted, failures = verdicts[t]
+            tally[counted] += n
+            if not failures:
                 continue
             for m in chain(*_labels_in(lo, hi, p, q)):
-                if reason is not None:
-                    part_violations.append((m, reason))
-                for j, pull_reason in zip(pulls, pull_reasons):
-                    if pull_reason is not None:
+                for j, reason in failures:
+                    if j is None:
+                        part_violations.append((m, reason))
+                    else:
                         covered[j] -= 1
-                        reas_violations.append((j, m, pull_reason))
+                        reas_violations.append((j, m, reason))
         counts = {c.label(self.rank): tally[c] for c in checks}
         if top is not None:
             counts[OVERFLOW] = tally[OVERFLOW]

@@ -334,15 +334,16 @@ def _per_label_sweep(inst, lo, hi, pairs):
     part_violations, reas_violations = [], []
     for n in range(lo, hi + 1):
         word = inst.labeling.word_of_label(n).letters
-        counted, reason, pull_reasons = paradox._verdict(word, inst.special, checks, top, pairs)
+        counted, failures = paradox._verdict(word, inst.special, checks, top, pairs)
         tally[counted] = tally.get(counted, 0) + 1
-        if reason is not None:
-            part_violations.append((n, reason))
-        for j, pull_reason in zip(pairs, pull_reasons):
-            if pull_reason is None:
+        reasons = dict(failures)
+        if None in reasons:
+            part_violations.append((n, reasons[None]))
+        for j in pairs:
+            if j not in reasons:
                 covered[j] += 1
             else:
-                reas_violations.append((j, n, pull_reason))
+                reas_violations.append((j, n, reasons[j]))
     counts = {c.label(inst.rank): tally.get(c, 0) for c in checks}
     if top is not None:
         counts["overflow"] = tally.get("overflow", 0)
@@ -444,6 +445,21 @@ def test_sweep_leaves_labeling_memo_empty():
     assert small < 200_000
     assert large < small + 50_000
     assert vars(inst.labeling) == {"rank": 2}
+
+
+def test_sweep_memo_holds_no_slot_per_pair():
+    # At k = 100 nearly every label of the window is its own type; a passing
+    # type's verdict is its class and no failures, so the memo of about
+    # 2,000 verdicts holds nothing per pair.
+    inst = ParadoxInstance(100)
+    pairs = inst.pairs()
+    (part, reas), peak = _traced(lambda: inst._sweep(-1000, 1000, pairs, tuple(pairs)))
+    assert part.passed and reas.passed
+    assert peak < 1_000_000
+    s = inst.special
+    word = paradox._type_word(((3, -7), False), s)
+    verdict = paradox._verdict(word, s, paradox._classes(pairs), None, tuple(pairs))
+    assert verdict == (WordClass(3, PLUS), ())
 
 
 def test_sweep_violations_in_ascending_order(monkeypatch):
