@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import os
 import re
 import sys
 import tempfile
-from itertools import islice
+from itertools import chain, count, islice, tee
 from typing import Iterable, Iterator, TextIO
 
 from .freegroup import (
@@ -29,24 +28,24 @@ from .freegroup import (
     RankError,
     Word,
     WordSyntaxError,
+    _format_words,
+    _words_from,
     check_rank,
     format_word,
-    iter_words,
     parse_word,
 )
 from .labeling import (
     UnsupportedRankError,
     VertexLabeling,
     bounded_ball_vertex_count,
-    label_from_position,
 )
 from .paradox import WORD_BUDGET, BudgetExceededError, ParadoxInstance, verification_summary
 from .permutation import CycleError, TreePermutation, parse_cycles
 from .render import (
     cayley_ball_dot,
     function_graph_grid_lines,
-    function_graph_svg,
-    line_strip_svg,
+    function_graph_lines,
+    line_strip_lines,
 )
 from .rigid import PiecewiseRigidMap
 
@@ -72,6 +71,9 @@ MAX_PAIR_LIMIT = 10_000
 #: Most cells a line-strip may draw, one per label of the window; wider
 #: windows exit 3 before the walk starts.
 MAX_STRIP_CELLS = 100_000
+
+#: Lines a streamed output (CSV, plot-fn, line-strip) joins into one write.
+CHUNK_LINES = 256
 
 
 def _rank(text: str):
@@ -135,12 +137,13 @@ def _emit(text: str, out: str | None) -> None:
         fh.write(text)
 
 
-def _emit_csv(header: list[str], rows: Iterable[list], out: str | None) -> None:
-    """Write the header, then stream ``rows`` into the output one at a time."""
+def _emit_lines(lines: Iterable[str], out: str | None) -> None:
+    """Write ``lines``, each ended by a newline, CHUNK_LINES to a write.  A CSV
+    line is its fields joined by commas: none holds a comma, quote or newline."""
+    lines = iter(lines)
     with _output(out) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        while chunk := list(islice(lines, CHUNK_LINES)):
+            fh.write("\n".join(chunk) + "\n")
 
 
 def _json_text(obj) -> str:
@@ -166,13 +169,13 @@ def _emit_json_array(items: Iterable, out: str | None) -> None:
 def _cmd_classify(args) -> int:
     _check_window(*args.window)
     rows = (
-        [n, format_word(Word._from_reduced(letters)), cls.label(args.k)]
+        (n, format_word(Word._from_reduced(letters)), cls.label(args.k))
         for n, letters, cls in ParadoxInstance(args.k).classify_window(*args.window)
     )
     if args.format == "json":
         _emit_json_array(({"n": n, "word": w, "class": c} for n, w, c in rows), args.out)
     else:
-        _emit_csv(["n", "word", "class"], rows, args.out)
+        _emit_lines(chain(["n,word,class"], (f"{n},{w},{c}" for n, w, c in rows)), args.out)
     return 0
 
 
@@ -187,7 +190,8 @@ def _cmd_verify(args) -> int:
         word_budget=args.budget,
     )
     if args.format == "csv":
-        _emit_csv(["class", "count"], summary["counts"].items(), args.out)
+        counts = summary["counts"].items()
+        _emit_lines(chain(["class,count"], (f"{c},{n}" for c, n in counts)), args.out)
     else:
         _emit(_json_text(summary), args.out)
     return 0 if summary["pass"] else 1
@@ -205,7 +209,7 @@ def _cmd_plot_fn(args) -> int:
     _check_budget("plot", hi - lo + 1, "grid lines", MAX_GRID_LINES)
     pieces = PiecewiseRigidMap(perm).pieces_in_window(lo, hi)
     _check_budget("plot", function_graph_grid_lines(pieces, lo, hi), "grid lines", MAX_GRID_LINES)
-    _emit(function_graph_svg(pieces, lo, hi), args.out)
+    _emit_lines(function_graph_lines(pieces, lo, hi), args.out)
     return 0
 
 
@@ -256,13 +260,13 @@ def _cmd_connect(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
-    # Rows stream from the enumeration into the writer, so memory stays flat
-    # in --count.
+    # Rows stream into the output at flat memory, each read off its letters.
+    words, spelled = tee(islice(_words_from(args.k, ()), args.count))
     rows = (
-        [label_from_position(pos), pos, format_word(w), len(w)]
-        for pos, w in enumerate(islice(iter_words(args.k), args.count))
+        f"{(pos + 1) // 2 if pos % 2 else -(pos // 2)},{pos},{text},{len(letters)}"
+        for pos, letters, text in zip(count(), words, _format_words(spelled))
     )
-    _emit_csv(["label", "position", "word", "length"], rows, args.out)
+    _emit_lines(chain(["label,position,word,length"], rows), args.out)
     return 0
 
 
@@ -271,8 +275,8 @@ def _cmd_line_strip(args) -> int:
     _check_budget("line strip", hi - lo + 1, "cells", MAX_STRIP_CELLS)
     inst = ParadoxInstance(args.k)
     pairs = inst.pairs(args.J)
-    cells = [(n, cls if cls.pair in pairs else None) for n, _, cls in inst.classify_window(lo, hi)]
-    _emit(line_strip_svg(cells, args.k), args.out)
+    cells = ((n, cls if cls.pair in pairs else None) for n, _, cls in inst.classify_window(lo, hi))
+    _emit_lines(line_strip_lines(cells, hi - lo + 1, args.k), args.out)
     return 0
 
 

@@ -365,19 +365,44 @@ def parse_word(text: str, rank=None) -> Word:
     return reduce(letters, rank)
 
 
-def format_word(w: Word) -> str:
-    """Canonical text for a word; inverse of :func:`parse_word` on outputs."""
-    letters = w.letters
-    if not letters:
-        return "e"
-    parts = []
-    run, m = letters[0], 1
-    # The 0 closes the last run.
-    for a in letters[1:] + (0,):
+def _token(a: int, m: int) -> str:
+    """The text of a run of m letters a."""
+    tok = f"x{a}" if a > 0 else f"X{-a}"
+    return tok if m == 1 else f"{tok}^{m}"
+
+
+def _runs(letters: tuple[int, ...]) -> tuple[list[str], int, int]:
+    """The tokens of every run of ``letters`` but the last, then the last
+    run's letter and length (0 and 0 if there is none)."""
+    parts, run, m = [], 0, 0
+    for a in letters:
         if a == run:
             m += 1
             continue
-        tok = f"x{run}" if run > 0 else f"X{-run}"
-        parts.append(tok if m == 1 else f"{tok}^{m}")
+        if m:  # _token inlined: a call per run slows format_word by a fifth
+            tok = f"x{run}" if run > 0 else f"X{-run}"
+            parts.append(tok if m == 1 else f"{tok}^{m}")
         run, m = a, 1
-    return " ".join(parts)
+    return parts, run, m
+
+
+def format_word(w: Word) -> str:
+    """Canonical text for a word; inverse of :func:`parse_word` on outputs."""
+    parts, run, m = _runs(w.letters)
+    return " ".join(parts + [_token(run, m)]) if m else "e"
+
+
+def _format_words(words: Iterable[tuple[int, ...]]) -> Iterator[str]:
+    """:func:`format_word` of each letter tuple.  A head, all letters but the
+    last, is formatted once while the words that follow share it, as an
+    odometer's words do while their last letter steps."""
+    head = None
+    for letters in words:
+        if letters[:-1] != head:
+            head = letters[:-1]
+            parts, run, m = _runs(head)
+            text = " ".join(parts + [""])  # the earlier runs, each with a space
+            longer = text + _token(run, m + 1)  # a last letter that lengthens the run
+            before = text + _token(run, m) + " " if m else ""
+        a = letters[-1] if letters else None
+        yield "e" if a is None else longer if a == run else before + _token(a, 1)

@@ -78,6 +78,16 @@ def position_from_label(n: int) -> int:
     return 2 * n - 1 if n > 0 else -2 * n
 
 
+def _labels_at(p: int, n: int) -> list[int]:
+    """The labels of the positions p, ..., p + n - 1: those at odd positions
+    rise from (p + 2) // 2 and those at even ones fall from -((p + 1) // 2)."""
+    labels = [0] * n
+    odd = 1 - p % 2  # the index of the first odd position
+    labels[odd::2] = range((p + 2) // 2, (p + n) // 2 + 1)
+    labels[1 - odd::2] = range(-((p + 1) // 2), -((p + n - 1) // 2) - 1, -1)
+    return labels
+
+
 # --- finite rank: digits in base 2k - 1 -------------------------------------
 #
 # x_i has rank 2i - 2 and X_i rank 2i - 1, so d ^ 1 is the rank of the
@@ -514,7 +524,7 @@ class VertexLabeling:
         # The ball is built one sphere at a time.  The words of length L + 1
         # are a * w for each letter a in order and each word w of length L
         # not starting with -a, in the (length, lex) order of w, which is
-        # the enumeration's own order, so a counter gives every position.
+        # the enumeration's own order: a counter gives the positions, _labels_at the labels.
         # Making a * w links it to w both ways: its -a neighbour is w, and
         # w's a neighbour is a * w; every other neighbour is one letter
         # longer, linked when its own sphere is built or None past the ball.
@@ -529,7 +539,7 @@ class VertexLabeling:
                 for first, labels in sphere.items():
                     if first == -a:
                         continue
-                    kids = list(map(label_from_position, range(pos, pos + len(labels))))
+                    kids = _labels_at(pos, len(labels))
                     pos += len(labels)
                     for label, child in zip(labels, kids):
                         forth[label - lo] = child
@@ -591,7 +601,7 @@ class CayleyBall:
 
     def labels(self) -> list[int]:
         """Every label of the ball, in position order."""
-        return list(map(label_from_position, range(len(self.columns[1]))))
+        return _labels_at(0, len(self.columns[1]))
 
     @property
     def entries(self) -> tuple[BallEntry, ...]:

@@ -1,12 +1,15 @@
 """Deterministic figure emission: function graphs, line strips, Cayley balls.
 
 All geometry is computed on an integer pixel lattice, so identical inputs
-produce byte-identical output; floats never reach the emitters.
+produce byte-identical output; floats never reach the emitters.  The SVG
+lines come one at a time as they are read, so a figure of any width can be
+written in chunks at flat memory; the DOT formats each label once.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+import itertools
+from typing import Iterable, Iterator
 
 from .freegroup import PLUS, WordClass
 from .labeling import CayleyBall
@@ -50,6 +53,11 @@ def function_graph_grid_lines(pieces: list[Piece], lo: int, hi: int) -> int:
 
 def function_graph_svg(pieces: list[Piece], lo: int, hi: int) -> str:
     """Plot one segment per piece, open circle at each right endpoint."""
+    return "\n".join(function_graph_lines(pieces, lo, hi)) + "\n"
+
+
+def function_graph_lines(pieces: list[Piece], lo: int, hi: int) -> Iterator[str]:
+    """The lines of :func:`function_graph_svg`, without newlines."""
     ylo, yhi = _image_range(pieces)
     width = (hi - lo) * _UNIT + 2 * _MARGIN
     height = (yhi - ylo) * _UNIT + 2 * _MARGIN
@@ -60,42 +68,29 @@ def function_graph_svg(pieces: list[Piece], lo: int, hi: int) -> str:
     def py(v: int) -> int:
         return _MARGIN + (yhi - v) * _UNIT
 
-    out = [
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-    ]
-    for gx in range(lo, hi + 1):
-        out.append(
-            f'<line x1="{px(gx)}" y1="{py(ylo)}" x2="{px(gx)}" y2="{py(yhi)}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-    for gy in range(ylo, yhi + 1):
-        out.append(
-            f'<line x1="{px(lo)}" y1="{py(gy)}" x2="{px(hi)}" y2="{py(gy)}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
+        f'viewBox="0 0 {width} {height}">'
+    )
+    yield f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>'
+    # One grid line per integer: x rises with it and y falls.
+    left, right, bottom, top = px(lo), px(hi), py(ylo), py(yhi)
+    grid, axis = 'stroke="#dddddd" stroke-width="1"', 'stroke="#555555" stroke-width="2"'
+    pen = 'stroke="#1f77b4" stroke-width="2"'
+    for x in range(left, right + 1, _UNIT):
+        yield f'<line x1="{x}" y1="{bottom}" x2="{x}" y2="{top}" {grid}/>'
+    for y in range(bottom, top - 1, -_UNIT):
+        yield f'<line x1="{left}" y1="{y}" x2="{right}" y2="{y}" {grid}/>'
     if lo <= 0 <= hi:
-        out.append(
-            f'<line x1="{px(0)}" y1="{py(ylo)}" x2="{px(0)}" y2="{py(yhi)}" '
-            f'stroke="#555555" stroke-width="2"/>'
-        )
+        yield f'<line x1="{px(0)}" y1="{bottom}" x2="{px(0)}" y2="{top}" {axis}/>'
     if ylo <= 0 <= yhi:
-        out.append(
-            f'<line x1="{px(lo)}" y1="{py(0)}" x2="{px(hi)}" y2="{py(0)}" '
-            f'stroke="#555555" stroke-width="2"/>'
-        )
+        yield f'<line x1="{left}" y1="{py(0)}" x2="{right}" y2="{py(0)}" {axis}/>'
     for p in pieces:
         x1, y1 = px(p.start), py(p.start + p.offset)
-        x2, y2 = px(p.start + 1), py(p.start + p.offset + 1)
-        out.append(
-            f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="#1f77b4" stroke-width="2"/>'
-        )
-        out.append(
-            f'<circle cx="{x2}" cy="{y2}" r="3" fill="#ffffff" stroke="#1f77b4" stroke-width="2"/>'
-        )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+        x2, y2 = x1 + _UNIT, y1 - _UNIT
+        yield f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {pen}/>'
+        yield f'<circle cx="{x2}" cy="{y2}" r="3" fill="#ffffff" {pen}/>'
+    yield "</svg>"
 
 
 def line_strip_svg(cells: list[tuple[int, WordClass | None]], rank) -> str:
@@ -104,22 +99,26 @@ def line_strip_svg(cells: list[tuple[int, WordClass | None]], rank) -> str:
     The legend lists every class that occurs in the class layout's order:
     by pair, plus before minus, with overflow last.
     """
+    return "\n".join(line_strip_lines(cells, len(cells), rank)) + "\n"
+
+
+def line_strip_lines(cells: Iterable[tuple], count: int, rank) -> Iterator[str]:
+    """The lines of :func:`line_strip_svg` for ``count`` cells, read as drawn."""
     cell_w = 24
     strip_h = 40
     legend_h = 22
-    width = 2 * _MARGIN + cell_w * len(cells)
+    width = 2 * _MARGIN + cell_w * count
     height = 2 * _MARGIN + strip_h + legend_h
-    out = [
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-    ]
+        f'viewBox="0 0 {width} {height}">'
+    )
+    yield f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>'
     seen: dict[WordClass | None, str] = {}
-    for i, (_, cls) in enumerate(cells):
-        color = OVERFLOW_COLOR if cls is None else class_color(cls)
-        seen.setdefault(cls, color)
-        x = _MARGIN + i * cell_w
-        out.append(
+    for x, (_, cls) in zip(itertools.count(_MARGIN, cell_w), cells):
+        if (color := seen.get(cls)) is None:
+            color = seen[cls] = OVERFLOW_COLOR if cls is None else class_color(cls)
+        yield (
             f'<rect x="{x}" y="{_MARGIN}" width="{cell_w}" height="{strip_h}" '
             f'fill="{color}" stroke="#ffffff" stroke-width="1"/>'
         )
@@ -128,29 +127,31 @@ def line_strip_svg(cells: list[tuple[int, WordClass | None]], rank) -> str:
     lx = _MARGIN
     for cls in order:
         name = "other" if cls is None else cls.label(rank)
-        out.append(
-            f'<rect x="{lx}" y="{ly - 10}" width="12" height="12" fill="{seen[cls]}"/>'
-        )
-        out.append(
-            f'<text x="{lx + 16}" y="{ly}" font-family="monospace" font-size="12">{name}</text>'
-        )
+        yield f'<rect x="{lx}" y="{ly - 10}" width="12" height="12" fill="{seen[cls]}"/>'
+        yield f'<text x="{lx + 16}" y="{ly}" font-family="monospace" font-size="12">{name}</text>'
         lx += 16 + 10 * max(1, len(name)) + 14
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    yield "</svg>"
 
 
 def cayley_ball_dot(ball: CayleyBall) -> str:
     """DOT digraph of a ball: integer-labeled nodes, generator-labeled edges."""
     # The columns are indexed by label and the labels are lo..-lo, so index
-    # order is label order and the nodes need no sort.  Each generator's
-    # column gives one edge text per tail ("" where the head lies outside),
-    # and zipping the columns writes each tail's edges x1, x2, ... in turn.
-    labels = range(ball.lo, 1 - ball.lo)
-    columns = [
-        [f'  "{tail}" -> "{head}" [label="x{j}"];\n' if head is not None else ""
-         for tail, head in zip(labels, ball.columns[j])]
-        for j in range(1, ball.rank + 1)
-    ]
-    nodes = "".join([f'  "{n}";\n' for n in labels])
-    edges = "".join(chain.from_iterable(zip(*columns)))
-    return f"digraph cayley_ball {{\n  node [shape=circle];\n{nodes}{edges}}}\n"
+    # order is label order and the nodes need no sort.  Each label is
+    # formatted once; ``by_label`` is indexed by label, negative from the
+    # end.  Column j gives each tail's x_j edge ("" where the head lies
+    # outside) to every k-th slot of one list, so each tail's edges come
+    # x1, x2, ... in turn.
+    lo, k = ball.lo, ball.rank
+    names = [f"{n}" for n in range(lo, 1 - lo)]
+    by_label = names[-lo:] + names[:-lo]
+    edges = [""] * (k * len(names))
+    for j in range(1, k + 1):
+        end = f'" [label="x{j}"];\n'
+        edges[j - 1 :: k] = [
+            f'  "{tail}" -> "{by_label[head]}{end}' if head is not None else ""
+            for tail, head in zip(names, ball.columns[j])
+        ]
+    nodes = '";\n  "'.join(names)
+    del names, by_label  # freed before the joins, which lowers the peak
+    edges = "".join(edges)
+    return f'digraph cayley_ball {{\n  node [shape=circle];\n  "{nodes}";\n{edges}}}\n'

@@ -136,6 +136,25 @@ def finite_letters(k, pos):
     return tuple(letters)
 
 
+def cayley_dot(k, radius):
+    """DOT text of the Cayley ball of this radius at rank k, from the
+    definitions alone: every word of length <= radius under its zigzag
+    label, the nodes sorted by label, then for each node in label order an
+    edge x_j to the reduced x_j * w whenever that word lies in the ball."""
+    words = all_words(k, radius)
+    label_of = {w: zigzag_label(pos) for pos, w in enumerate(words)}
+    nodes = sorted(words, key=label_of.get)
+    lines = ["digraph cayley_ball {", "  node [shape=circle];"]
+    lines += [f'  "{label_of[w]}";' for w in nodes]
+    for w in nodes:
+        for j in range(1, k + 1):
+            head = oracle_reduce((j,) + w)
+            if head in label_of:
+                lines.append(f'  "{label_of[w]}" -> "{label_of[head]}" [label="x{j}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 class LabelTable:
     """label <-> word lookup built from a brute-force enumeration."""
 

@@ -17,6 +17,8 @@ from lineparadox.labeling import VertexLabeling, ball_vertex_count
 from lineparadox.paradox import ParadoxInstance
 from lineparadox.render import line_strip_svg
 
+import oracle
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -562,6 +564,38 @@ def test_plot_cayley_dot_bytes_pinned(capsys, k, radius):
     code, out, _ = run(capsys, "plot-cayley", "--k", k, "--radius", radius)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DOT_DIGESTS[k, radius]
+
+
+@pytest.mark.parametrize(
+    "k, radius", [(2, r) for r in range(8)] + [(3, r) for r in range(5)] + [(5, 2), (7, 1)]
+)
+def test_plot_cayley_matches_oracle(capsys, k, radius):
+    code, out, _ = run(capsys, "plot-cayley", "--k", str(k), "--radius", str(radius))
+    assert code == 0
+    assert out == oracle.cayley_dot(k, radius)
+
+
+# sha256 of outputs past the oracles' reach, pinned from the emitters that
+# built each text whole: streamed or not, the bytes must stay these.
+LARGE_OUTPUT_DIGESTS = {
+    "plot-cayley --k 2 --radius 9":
+        "2bb5d9a3f578d4d181b2d40f431c94695f5968e7e0cb3e76683cbce5efa78fcb",
+    "enumerate --count 100000":
+        "c76a8864fc153dc7bd5092cd8358675b5feb41743ea23776d32bbe38d90fdc3c",
+    "enumerate --k omega --count 20000":
+        "5cb6adb1de9ab02c0dfe67488369279014bad4165b4eb64f259ff567c870f2ca",
+    "line-strip --k 2 --window -50000..49999":
+        "793ea50d05636332f62083f0e264e25b251b76e00953d2fd6c3394ec3bc94f06",
+    "plot-fn --k omega --word x1 --window -9000..9000":
+        "855a2addf1ac57c45d9f4f12189483d7f18cba6e727c951567c250d16c704528",
+}
+
+
+@pytest.mark.parametrize("line", sorted(LARGE_OUTPUT_DIGESTS))
+def test_large_output_bytes_pinned(capsys, line):
+    code, out, _ = run(capsys, *line.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_OUTPUT_DIGESTS[line]
 
 
 def test_plot_cayley_builds_no_word_or_entry(capsys, monkeypatch):

@@ -32,6 +32,10 @@ LINES = [
     ("verify --k omega --J 10 --window -1000000..1000000", 120_000, 0),
     # A type's verdict keeps no slot per pair, so k = 1000 fits.
     ("verify --k 1000 --window -3000..3000", 60_000, 0),
+    # The SVG emitters write a chunk of lines at a time, so the widest
+    # figures hold no list of every line.
+    ("line-strip --k 2 --window -50000..49999", 60_000, 0),
+    ("plot-fn --k omega --word x1 --window -9000..9000", 60_000, 0),
 ]
 
 

@@ -16,6 +16,8 @@ from lineparadox.freegroup import (
     Word,
     WordClass,
     WordSyntaxError,
+    _format_words,
+    _words_from,
     check_rank,
     classify_word,
     enumerate_words,
@@ -277,6 +279,24 @@ def test_format_word_examples():
     assert format_word(W(1, 1, 1, -2)) == "x1^3 X2"
     assert format_word(W(-2, -2)) == "X2^2"
     assert format_word(W(1, -2, 1)) == "x1 X2 x1"
+
+
+@pytest.mark.parametrize("rank, count", [(2, 50_000), (3, 50_000), (7, 50_000), (OMEGA, 20_000)])
+def test_format_words_matches_format_word(rank, count):
+    words = list(itertools.islice(_words_from(rank, ()), count))
+    assert list(_format_words(words)) == [format_word(Word._from_reduced(w)) for w in words]
+
+
+def test_format_words_edge_cases():
+    # The empty word, single letters, and last letters that extend the
+    # head's final run, after a word with the same head and after none.
+    words = [(), (1,), (-3,), (1, 1), (1, 1, 1), (1, 1, -2), (1, 1, 1),
+             (2, -1, -1), (2, -1, -1, -1), (-2, -2, 3), ()]
+    assert list(_format_words(words)) == [
+        "e", "x1", "X3", "x1^2", "x1^3", "x1^2 X2", "x1^3",
+        "x2 X1^2", "x2 X1^3", "X2^2 x3", "e",
+    ]
+    assert list(_format_words([])) == []
 
 
 def test_format_parse_round_trip():

@@ -27,6 +27,7 @@ from lineparadox.labeling import (
     UnsupportedRankError,
     VertexLabeling,
     _continuations,
+    _labels_at,
     _labels_in,
     _letters_finite,
     _letters_omega,
@@ -65,6 +66,15 @@ def test_zigzag_round_trip():
         assert position_from_label(label_from_position(pos)) == pos
     for n in range(-2500, 2500):
         assert label_from_position(position_from_label(n)) == n
+
+
+def test_labels_at_matches_label_from_position():
+    far = 10**30
+    starts = [(p, range(13)) for p in range(41)]
+    starts += [(p, (0, 1, 2, 5, 12)) for p in range(far - 3, far + 4)]
+    for p, sizes in starts:
+        for n in sizes:
+            assert _labels_at(p, n) == [label_from_position(q) for q in range(p, p + n)], (p, n)
 
 
 def test_zigzag_rejects_negative_position():
