@@ -72,7 +72,7 @@ MAX_PAIR_LIMIT = 10_000
 #: windows exit 3 before the walk starts.
 MAX_STRIP_CELLS = 100_000
 
-#: Lines a streamed output (CSV, plot-fn, line-strip) joins into one write.
+#: Lines, or JSON array items, that a streamed output joins into one write.
 CHUNK_LINES = 256
 
 
@@ -151,7 +151,7 @@ def _json_text(obj) -> str:
 
 
 def _emit_json_array(items: Iterable, out: str | None) -> None:
-    """Write ``_json_text(list(items))``, holding at most 100 items at once.
+    """Write ``_json_text(list(items))``, CHUNK_LINES items to a batch.
 
     Each batch is dumped as an array whose brackets are cut off, which
     leaves its items indented as they are in the whole array.
@@ -160,7 +160,7 @@ def _emit_json_array(items: Iterable, out: str | None) -> None:
     with _output(out) as fh:
         fh.write("[")
         sep = "\n"
-        while batch := list(islice(items, 100)):
+        while batch := list(islice(items, CHUNK_LINES)):
             fh.write(sep + json.dumps(batch, indent=2, sort_keys=True)[2:-2])
             sep = ",\n"
         fh.write("\n]\n" if sep == ",\n" else "]\n")
@@ -253,7 +253,7 @@ def _cmd_connect(args) -> int:
         else:
             lines.append(f"check: {args.m} -> {image} MISMATCH (expected {args.n})")
             status = 1
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit_lines(lines, args.out)
     return status
 
 

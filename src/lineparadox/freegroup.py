@@ -319,9 +319,8 @@ def enumerate_words(rank, count: int) -> list[Word]:
 # The empty word prints as "e".  Canonical output collapses runs: "x1^3 X2".
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"^([xX])([0-9]+)(?:\^(-?[0-9]+))?$")
+_TOKEN_RE = re.compile(r"^(?:([xX])([0-9]+)|([gGhH]))(?:\^(-?[0-9]+))?$")
 _ALIAS = {"g": 1, "G": -1, "h": 2, "H": -2}
-_ALIAS_RE = re.compile(r"^([gGhH])(?:\^(-?[0-9]+))?$")
 
 
 class WordSyntaxError(ValueError):
@@ -340,18 +339,17 @@ def parse_word(text: str, rank=None) -> Word:
         if tok == "e":
             continue
         m = _TOKEN_RE.match(tok)
-        if m:
-            base = int(m.group(2))
-            if base == 0:
-                raise WordSyntaxError(f"generator index must be >= 1: {tok!r}")
-            a = base if m.group(1) == "x" else -base
-            exp = int(m.group(3)) if m.group(3) is not None else 1
+        if not m:
+            raise WordSyntaxError(f"bad token {tok!r}")
+        if m.group(3):
+            a = _ALIAS[m.group(3)]
         else:
-            m = _ALIAS_RE.match(tok)
-            if not m:
-                raise WordSyntaxError(f"bad token {tok!r}")
-            a = _ALIAS[m.group(1)]
-            exp = int(m.group(2)) if m.group(2) is not None else 1
+            a = int(m.group(2))
+            if a == 0:
+                raise WordSyntaxError(f"generator index must be >= 1: {tok!r}")
+            if m.group(1) == "X":
+                a = -a
+        exp = int(m.group(4)) if m.group(4) is not None else 1
         if exp == 0:
             raise WordSyntaxError(f"exponent must be nonzero: {tok!r}")
         if exp < 0:
@@ -389,7 +387,8 @@ def _runs(letters: tuple[int, ...]) -> tuple[list[str], int, int]:
 def format_word(w: Word) -> str:
     """Canonical text for a word; inverse of :func:`parse_word` on outputs."""
     parts, run, m = _runs(w.letters)
-    return " ".join(parts + [_token(run, m)]) if m else "e"
+    parts.append(_token(run, m) if m else "e")
+    return " ".join(parts)
 
 
 def _format_words(words: Iterable[tuple[int, ...]]) -> Iterator[str]:

@@ -98,14 +98,7 @@ def _labels_at(p: int, n: int) -> list[int]:
 SPLIT_DIGITS = 128
 
 
-def _power(base: int, e: int, powers: dict[int, int]) -> int:
-    """base**e, kept in ``powers`` for one encode or decode."""
-    if e not in powers:
-        powers[e] = base**e
-    return powers[e]
-
-
-def _join(digits: list[int], base: int, powers: dict[int, int]) -> int:
+def _join(digits: list[int], base: int) -> int:
     """The number with these base-``base`` digits, most significant first."""
     n = len(digits)
     if n <= SPLIT_DIGITS:
@@ -114,11 +107,10 @@ def _join(digits: list[int], base: int, powers: dict[int, int]) -> int:
             r = r * base + d
         return r
     h = n // 2
-    high = _join(digits[:h], base, powers)
-    return high * _power(base, n - h, powers) + _join(digits[h:], base, powers)
+    return _join(digits[:h], base) * base ** (n - h) + _join(digits[h:], base)
 
 
-def _split(r: int, n: int, base: int, powers: dict[int, int]) -> list[int]:
+def _split(r: int, n: int, base: int) -> list[int]:
     """The n base-``base`` digits of r, most significant first; the first
     takes all that lies above base**(n - 1)."""
     if n <= SPLIT_DIGITS:
@@ -130,8 +122,8 @@ def _split(r: int, n: int, base: int, powers: dict[int, int]) -> list[int]:
         digits.reverse()
         return digits
     h = n // 2
-    high, low = divmod(r, _power(base, n - h, powers))
-    return _split(high, h, base, powers) + _split(low, n - h, base, powers)
+    high, low = divmod(r, base ** (n - h))
+    return _split(high, h, base) + _split(low, n - h, base)
 
 
 def _position_finite(k: int, letters: tuple[int, ...]) -> int:
@@ -147,7 +139,7 @@ def _position_finite(k: int, letters: tuple[int, ...]) -> int:
         skip = d ^ 1
     if digits:
         digits[0] -= 1
-    return _join(digits, 2 * k - 1, {})
+    return _join(digits, 2 * k - 1)
 
 
 def _letters_finite(k: int, pos: int) -> tuple[int, ...]:
@@ -169,7 +161,7 @@ def _letters_finite(k: int, pos: int) -> tuple[int, ...]:
     first = 1 + 2 * k * (top - 1) // (base - 1)
     letters = []
     skip = 2 * k
-    for d in _split(pos - first, e + 1, base, {}):
+    for d in _split(pos - first, e + 1, base):
         d += d >= skip
         letters.append(~(d >> 1) if d & 1 else (d >> 1) + 1)
         skip = d ^ 1

@@ -46,7 +46,6 @@ class CyclePermutation(IntegerPermutation):
 
     def __init__(self, cycles):
         mapping: dict[int, int] = {}
-        kept = []
         for cyc in cycles:
             cyc = tuple(int(v) for v in cyc)
             if len(set(cyc)) != len(cyc):
@@ -58,13 +57,7 @@ class CyclePermutation(IntegerPermutation):
                     raise CycleError(f"element {v} appears in two cycles")
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 mapping[a] = b
-            kept.append(cyc)
-        canon = []
-        for cyc in kept:
-            i = cyc.index(min(cyc))
-            canon.append(cyc[i:] + cyc[:i])
-        canon.sort(key=lambda c: c[0])
-        self.cycles: tuple[tuple[int, ...], ...] = tuple(canon)
+        self.cycles: tuple[tuple[int, ...], ...] = tuple(_cycles_from_mapping(mapping))
         self._map = mapping
 
     @property
@@ -148,6 +141,7 @@ def compose(p: IntegerPermutation, q: IntegerPermutation) -> IntegerPermutation:
 
 
 def _cycles_from_mapping(mapping: dict[int, int]) -> list[tuple[int, ...]]:
+    """The cycles of 2 or more elements, each from its least, sorted by it."""
     seen: set[int] = set()
     cycles = []
     for start in sorted(mapping):

@@ -1,9 +1,10 @@
 """Deterministic figure emission: function graphs, line strips, Cayley balls.
 
 All geometry is computed on an integer pixel lattice, so identical inputs
-produce byte-identical output; floats never reach the emitters.  The SVG
-lines come one at a time as they are read, so a figure of any width can be
-written in chunks at flat memory; the DOT formats each label once.
+produce byte-identical output; floats never reach the emitters.  Each
+figure has one emitter.  The SVG lines come one at a time as they are read,
+so a figure of any width can be written in chunks at flat memory; the DOT
+formats each label once.
 """
 
 from __future__ import annotations
@@ -46,18 +47,13 @@ def _image_range(pieces: list[Piece]) -> tuple[int, int]:
 
 
 def function_graph_grid_lines(pieces: list[Piece], lo: int, hi: int) -> int:
-    """How many grid lines :func:`function_graph_svg` draws for these pieces."""
+    """How many grid lines :func:`function_graph_lines` draws for these pieces."""
     ylo, yhi = _image_range(pieces)
     return (hi - lo + 1) + (yhi - ylo + 1)
 
 
-def function_graph_svg(pieces: list[Piece], lo: int, hi: int) -> str:
-    """Plot one segment per piece, open circle at each right endpoint."""
-    return "\n".join(function_graph_lines(pieces, lo, hi)) + "\n"
-
-
 def function_graph_lines(pieces: list[Piece], lo: int, hi: int) -> Iterator[str]:
-    """The lines of :func:`function_graph_svg`, without newlines."""
+    """SVG lines: one segment per piece, an open circle at each right end."""
     ylo, yhi = _image_range(pieces)
     width = (hi - lo) * _UNIT + 2 * _MARGIN
     height = (yhi - ylo) * _UNIT + 2 * _MARGIN
@@ -93,17 +89,10 @@ def function_graph_lines(pieces: list[Piece], lo: int, hi: int) -> Iterator[str]
     yield "</svg>"
 
 
-def line_strip_svg(cells: list[tuple[int, WordClass | None]], rank) -> str:
-    """One colored cell per unit interval; ``None`` marks an overflow class.
-
-    The legend lists every class that occurs in the class layout's order:
-    by pair, plus before minus, with overflow last.
-    """
-    return "\n".join(line_strip_lines(cells, len(cells), rank)) + "\n"
-
-
 def line_strip_lines(cells: Iterable[tuple], count: int, rank) -> Iterator[str]:
-    """The lines of :func:`line_strip_svg` for ``count`` cells, read as drawn."""
+    """SVG lines: one colored cell per unit interval for ``count`` cells, read
+    as drawn; ``None`` marks an overflow class.  The legend lists each class
+    that occurs by pair, plus before minus, with overflow last."""
     cell_w = 24
     strip_h = 40
     legend_h = 22

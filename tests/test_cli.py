@@ -15,7 +15,7 @@ from lineparadox.cli import MAX_BALL_VERTICES, main
 from lineparadox.freegroup import OMEGA, Word, format_word
 from lineparadox.labeling import VertexLabeling, ball_vertex_count
 from lineparadox.paradox import ParadoxInstance
-from lineparadox.render import line_strip_svg
+from lineparadox.render import line_strip_lines
 
 import oracle
 
@@ -761,7 +761,7 @@ def test_line_strip_matches_random_access(capsys, k, J):
         cells.append((n, None if k == "omega" and cls.pair > int(J) else cls))
     code, out, _ = run(capsys, "line-strip", "--k", k, "--J", J, "--window", "-80..80")
     assert code == 0
-    assert out == line_strip_svg(cells, inst.rank)
+    assert out == "\n".join(line_strip_lines(cells, len(cells), inst.rank)) + "\n"
 
 
 # --- one parser per process ----------------------------------------------------

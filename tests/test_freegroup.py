@@ -254,6 +254,9 @@ def test_parse_word_examples():
     assert parse_word("X2^-1") == W(2)
     assert parse_word("x1 X1 x2") == W(2)  # raw input reduces
     assert parse_word("x10^2") == W(10, 10)
+    assert parse_word("G^-3") == W(1, 1, 1)  # aliases take exponents too
+    assert parse_word("h^2") == W(2, 2)
+    assert parse_word("H^-1") == W(2)
 
 
 def test_parse_word_errors():
@@ -262,6 +265,20 @@ def test_parse_word_errors():
             parse_word(bad)
     with pytest.raises(InvalidLetterError):
         parse_word("x3", rank=2)
+    # One grammar for x/X tokens and aliases: the index is checked before
+    # the exponent, and anything else is a bad token.
+    messages = {
+        "x0": "generator index must be >= 1: 'x0'",
+        "x0^0": "generator index must be >= 1: 'x0^0'",
+        "x1^0": "exponent must be nonzero: 'x1^0'",
+        "g^0": "exponent must be nonzero: 'g^0'",
+    }
+    for bad in ("g2", "gx1", "h^", "x", "x1^", "xx1"):
+        messages[bad] = f"bad token {bad!r}"
+    for bad, message in messages.items():
+        with pytest.raises(WordSyntaxError) as exc:
+            parse_word(f"x1 {bad} x2")
+        assert str(exc.value) == message
 
 
 def test_parse_word_letter_budget():

@@ -63,6 +63,10 @@ def test_parse_errors():
     for bad in ("", "0 1", "(1 2", "(1a)", "(-3)", "(1 2)(2 3)", "(1 1)"):
         with pytest.raises(CycleError):
             parse_cycles(bad)
+    with pytest.raises(CycleError, match=r"^repeated element within cycle \(1, 1\)$"):
+        parse_cycles("(1 1)")
+    with pytest.raises(CycleError, match=r"^element 2 appears in two cycles$"):
+        parse_cycles("(1 2)(2 3)")
 
 
 def test_cycle_canonical_form():

@@ -9,7 +9,8 @@ checked here on the tree action itself, the others on random inputs against
 label table, and reduced words counted by recursion.  The sweep judges one
 word per type tau, which rests on every word of a type getting the same
 verdict as the type's shortest word; that and the tree action being a
-homomorphism are checked on random words too.
+homomorphism are checked on random words too.  Cycle notation has one
+canonical form, whatever rotation and order the cycles are written in.
 """
 
 import functools
@@ -26,7 +27,7 @@ from lineparadox.labeling import (
     _position_omega,
 )
 from lineparadox.paradox import _classes, _type_word, _verdict
-from lineparadox.permutation import TreePermutation
+from lineparadox.permutation import CyclePermutation, TreePermutation
 from lineparadox.rigid import PiecewiseRigidMap, _image_tables, compose_maps, floor_part
 
 import oracle
@@ -155,3 +156,31 @@ def test_tree_map_of_product_is_product_of_maps(k, data, n):
     lab = VertexLabeling(k)
     uv = TreePermutation(multiply(u, v), lab)
     assert uv.apply(n) == TreePermutation(u, lab).apply(TreePermutation(v, lab).apply(n))
+
+
+@st.composite
+def written_cycles(draw):
+    """Disjoint cycles of 2 to 6 elements, each at a random rotation, in a
+    random order, and the canonical form built from them by hand."""
+    elements = draw(st.lists(st.integers(-50, 50), unique=True, max_size=30))
+    cycles, rest = [], elements
+    while len(rest) >= 2:
+        size = draw(st.integers(2, min(6, len(rest))))
+        cycles.append(tuple(rest[:size]))
+        rest = rest[size:]
+    canon, written = [], []
+    for cyc in cycles:
+        i, j = cyc.index(min(cyc)), draw(st.integers(0, len(cyc) - 1))
+        canon.append(cyc[i:] + cyc[:i])
+        written.append(cyc[j:] + cyc[:j])
+    return draw(st.permutations(written)), tuple(sorted(canon))
+
+
+@given(case=written_cycles())
+def test_cycle_permutation_canonical_form(case):
+    written, canon = case
+    p = CyclePermutation(written)
+    assert p.cycles == canon
+    for cyc in written:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            assert p.apply(a) == b

@@ -5,8 +5,8 @@ from lineparadox.render import (
     PALETTE,
     cayley_ball_dot,
     class_color,
-    function_graph_svg,
-    line_strip_svg,
+    function_graph_lines,
+    line_strip_lines,
 )
 from lineparadox.rigid import Piece
 
@@ -25,7 +25,7 @@ def test_class_colors_cycle_beyond_palette():
 
 
 def test_function_graph_empty_window():
-    svg = function_graph_svg([], 0, 3)
+    svg = "\n".join(function_graph_lines([], 0, 3)) + "\n"
     assert svg.startswith("<svg ")
     assert "<circle" not in svg
     assert 'stroke="#555555"' in svg  # axes pass through the window
@@ -33,7 +33,7 @@ def test_function_graph_empty_window():
 
 def test_function_graph_integer_lattice_only():
     pieces = [Piece(n, n % 3 - 1) for n in range(-2, 5)]
-    svg = function_graph_svg(pieces, -2, 5)
+    svg = "\n".join(function_graph_lines(pieces, -2, 5)) + "\n"
     body = svg.replace("http://www.w3.org/2000/svg", "")
     assert "." not in body  # every coordinate lands on the pixel grid
     assert svg.count("<circle") == len(pieces)
@@ -46,7 +46,7 @@ def test_line_strip_legend_order():
         (2, WordClass(1, PLUS)),  # A
         (3, WordClass(2, MINUS)),
     ]
-    svg = line_strip_svg(cells, 2)
+    svg = "\n".join(line_strip_lines(cells, len(cells), 2)) + "\n"
     a = svg.index(">A<")
     d = svg.index(">D<")
     other = svg.index(">other<")
@@ -56,12 +56,12 @@ def test_line_strip_legend_order():
 
 def test_line_strip_omega_names():
     cells = [(0, WordClass(1, MINUS)), (1, WordClass(3, PLUS))]
-    svg = line_strip_svg(cells, OMEGA)
+    svg = "\n".join(line_strip_lines(cells, len(cells), OMEGA)) + "\n"
     assert ">B_1<" in svg
     assert ">A_3<" in svg
     # By pair number, not by name: A_10 comes after B_2.
     cells = [(0, None), (1, WordClass(10, PLUS)), (2, WordClass(2, MINUS)), (3, WordClass(2, PLUS))]
-    svg = line_strip_svg(cells, OMEGA)
+    svg = "\n".join(line_strip_lines(cells, len(cells), OMEGA)) + "\n"
     names = [">A_2<", ">B_2<", ">A_10<", ">other<"]
     assert sorted(names, key=svg.index) == names
 
